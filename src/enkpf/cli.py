@@ -121,7 +121,10 @@ def _read_obs_csv(path, state_dim: int) -> LinearGaussianObservation:
         for line in fh:
             if not line.strip():
                 continue
-            c, v, s2 = line.strip().split(",")
+            fields = line.strip().split(",")
+            if len(fields) != 3:
+                raise ValueError(f"malformed observation row {line.strip()!r}")
+            c, v, s2 = fields
             components.append(int(c))
             values.append(float(v))
             variances.append(float(s2))
@@ -176,5 +179,21 @@ def main(argv=None) -> int:
     return handler(args)
 
 
+def console_main(argv=None) -> int:
+    """The `enkpf` console script: main() with bad input reported as one
+    line on stderr and exit code 1 instead of a traceback.
+
+    np.linalg.LinAlgError is a ValueError, so it is caught here too. Numpy's
+    floating-point warnings are silenced: non-finite states and covariances
+    are caught by explicit checks, which give the one-line message.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return main(argv)
+    except (ValueError, OSError) as err:
+        print("enkpf: " + " ".join(str(err).splitlines()), file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

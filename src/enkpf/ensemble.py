@@ -102,14 +102,17 @@ def gaspari_cohn(r) -> np.ndarray:
     out[near] = 1.0 - (5.0 / 3.0) * rn**2 + (5.0 / 8.0) * rn**3 + 0.5 * rn**4 - 0.25 * rn**5
     far = (r > 1.0) & (r < 2.0)
     rf = r[far]
-    out[far] = (
+    # just below r = 2 the polynomial cancels to rounding noise, which can be
+    # negative; the function itself is nonnegative there
+    out[far] = np.maximum(
+        0.0,
         4.0
         - 5.0 * rf
         + (5.0 / 3.0) * rf**2
         + (5.0 / 8.0) * rf**3
         - 0.5 * rf**4
         + (1.0 / 12.0) * rf**5
-        - (2.0 / 3.0) / rf
+        - (2.0 / 3.0) / rf,
     )
     return out
 

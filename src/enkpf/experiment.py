@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import enkpf_update
-from .ensemble import Ensemble, TaperSpec
+from .ensemble import Ensemble, TaperSpec, sample_moments, tapered_covariance
 from .errors import DivergenceError
 from .filters import UpdateDiagnostics, enkf_update, pf_update
 from .gamma import GammaPolicy, weight_variance_asymptotic
@@ -35,7 +35,6 @@ from .observation import LinearGaussianObservation
 from .resampling import ess
 from .rng import RngNode
 from .scoring import crps, rmse
-from .ensemble import sample_moments, tapered_covariance
 
 __all__ = [
     "StaticPriorConfig",

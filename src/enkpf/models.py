@@ -79,6 +79,8 @@ def lorenz96_drift(x: np.ndarray, forcing: float = 8.0) -> np.ndarray:
     """dX_k = (X_{k+1} - X_{k-2}) X_{k-1} - X_k + forcing, indices cyclic.
 
     Acts along axis 0, so a (q, N) matrix advances all members at once.
+    This is the reference formula: lorenz96_propagate evaluates the same
+    operations in place and matches Euler steps of it bitwise.
     """
     return (np.roll(x, -1, axis=0) - np.roll(x, 2, axis=0)) * np.roll(x, 1, axis=0) - x + forcing
 
@@ -97,17 +99,39 @@ def _wrap(x, form):
 
 
 def lorenz96_propagate(state, cfg: Lorenz96Config, duration: float | None = None):
-    """Advance by forward Euler steps of cfg.dt over the given duration."""
+    """Advance by forward Euler steps of cfg.dt over the given duration.
+
+    The state sits in rows 2..q+1 of one padded (q+3, M) buffer. Rows 0-1
+    repeat x[q-2], x[q-1] and row q+2 repeats x[0], so the cyclic neighbours
+    x[k+1], x[k-2] and x[k-1] are plain row slices. Each step refreshes the
+    three wrap rows and evaluates the drift into one preallocated temporary
+    in the operation order of lorenz96_drift, so the result is bitwise equal
+    to repeating x = x + dt * lorenz96_drift(x, forcing). The input is not
+    modified.
+    """
     x, form = _as_matrix(state)
-    if x.shape[0] != cfg.q:
-        raise ValueError(f"state dimension {x.shape[0]} != configured q {cfg.q}")
+    q = cfg.q
+    if x.shape[0] != q:
+        raise ValueError(f"state dimension {x.shape[0]} != configured q {q}")
     steps = _step_count(cfg.lead_time if duration is None else duration, cfg.dt)
-    x = x.copy()
+    dt, forcing = cfg.dt, cfg.forcing
+    pad = np.empty((q + 3, x.shape[1]))
+    body = pad[2 : q + 2]
+    body[...] = x
+    ahead, back2, back1 = pad[3 : q + 3], pad[0:q], pad[1 : q + 1]
+    d = np.empty_like(body)
     for _ in range(steps):
-        x += cfg.dt * lorenz96_drift(x, cfg.forcing)
-    if not np.all(np.isfinite(x)):
+        pad[0:2] = pad[q : q + 2]
+        pad[q + 2] = pad[2]
+        np.subtract(ahead, back2, out=d)
+        np.multiply(d, back1, out=d)
+        np.subtract(d, body, out=d)
+        np.add(d, forcing, out=d)
+        np.multiply(dt, d, out=d)
+        np.add(body, d, out=body)
+    if not np.all(np.isfinite(body)):
         raise DivergenceError("lorenz96 state became non-finite")
-    return _wrap(x, form)
+    return _wrap(body, form)
 
 
 def lorenz96_initial(gen: np.random.Generator, n_members: int, q: int = 40) -> Ensemble:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enkpf
 from enkpf import read_matrix_csv, write_matrix_csv
 from enkpf.cli import main
 
@@ -172,3 +177,52 @@ def test_update_rejects_bad_obs_file(tmp_path):
     out_of_range.write_text("component,value,noise_variance\n7,0.4,0.25\n")
     with pytest.raises(ValueError):
         main(["update", "--ensemble", str(ens_csv), "--obs", str(out_of_range), "--gamma", "0.5"])
+
+
+def _huge_forecast(tmp_path):
+    ens_csv, obs_csv = _write_update_inputs(tmp_path)
+    write_matrix_csv(ens_csv, 1e200 * read_matrix_csv(ens_csv))
+    return ens_csv, obs_csv
+
+
+def _short_body(tmp_path):
+    ens_csv, obs_csv = _write_update_inputs(tmp_path)
+    lines = ens_csv.read_text().splitlines()
+    ens_csv.write_text("\n".join(lines[:-1]) + "\n")
+    return ens_csv, obs_csv
+
+
+def _two_field_obs_row(tmp_path):
+    ens_csv, obs_csv = _write_update_inputs(tmp_path)
+    obs_csv.write_text("component,value,noise_variance\n1,0.4\n")
+    return ens_csv, obs_csv
+
+
+def _missing_obs(tmp_path):
+    ens_csv, _ = _write_update_inputs(tmp_path)
+    return ens_csv, tmp_path / "no_such_obs.csv"
+
+
+@pytest.mark.parametrize(
+    "make_inputs, expected",
+    [
+        (_huge_forecast, "infs or NaNs"),
+        (_short_body, "does not match header"),
+        (_two_field_obs_row, "malformed observation row"),
+        (_missing_obs, "no_such_obs.csv"),
+    ],
+    ids=["huge_forecast", "short_body", "two_field_obs_row", "missing_obs"],
+)
+def test_console_script_reports_bad_update_input_in_one_line(tmp_path, make_inputs, expected):
+    ens_csv, obs_csv = make_inputs(tmp_path)
+    src = str(Path(enkpf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "enkpf.cli", "update", "--ensemble", str(ens_csv),
+         "--obs", str(obs_csv), "--gamma", "0.5"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("enkpf: ") and expected in line

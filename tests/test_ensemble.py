@@ -69,6 +69,13 @@ def test_gaspari_cohn_continuity_at_breaks():
     assert abs(gaspari_cohn(np.nextafter(2.0, 3.0)) - 0.0) < 1e-12
 
 
+def test_gaspari_cohn_nonnegative_below_support_edge():
+    # the closed form cancels to rounding noise here; 1 / 0.5000000000000001
+    # once gave -3.3e-16 in a half-support-0.5 taper matrix
+    r = np.array([1.0 / np.nextafter(0.5, 1.0), np.nextafter(2.0, 0.0), 1.9999999])
+    assert np.all(gaspari_cohn(r) >= 0.0)
+
+
 def test_taper_matrix_none_is_all_ones():
     assert np.all(taper_matrix(NO_TAPER, 6) == 1.0)
 

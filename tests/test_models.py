@@ -58,6 +58,31 @@ def test_propagate_matches_per_column():
         assert np.array_equal(joint[:, j], single)
 
 
+def _euler_reference(x, cfg, steps):
+    for _ in range(steps):
+        x = x + cfg.dt * lorenz96_drift(x, cfg.forcing)
+    return x
+
+
+@pytest.mark.parametrize("q", [4, 5, 40])
+def test_propagate_bitwise_matches_drift_euler(q):
+    # q=4 is the smallest allowed stencil: the three wrap rows of the padded
+    # buffer then copy three of the four state rows
+    cfg = Lorenz96Config(q=q)
+    steps = 60
+    gen = np.random.default_rng(q)
+    vector = 3.0 * gen.standard_normal(q)
+    matrix = 3.0 * gen.standard_normal((q, 7))
+    for state in (vector, matrix, Ensemble(matrix)):
+        x = state.states if isinstance(state, Ensemble) else state
+        before = x.copy()
+        out = lorenz96_propagate(state, cfg, steps * cfg.dt)
+        assert type(out) is type(state)
+        got = out.states if isinstance(out, Ensemble) else out
+        assert np.array_equal(got, _euler_reference(x, cfg, steps))
+        assert np.array_equal(x, before)
+
+
 def test_propagate_accepts_ensembles():
     cfg = Lorenz96Config(q=5)
     gen = np.random.default_rng(1)
