@@ -28,8 +28,9 @@ def enkpf_update(
     Returns (analysis ensemble, diagnostics).
     """
     cov = tapered_covariance(ens, taper).cov
-    gamma, probes = select_gamma(ens, obs, policy, taper, rng=rng, cov=cov)
-    mix = _mixture_from_cov(ens.states, cov, obs, gamma)
+    gamma, probes, mix = select_gamma(ens, obs, policy, taper, rng=rng, cov=cov)
+    if mix is None:  # fixed mode, or no probe qualified and gamma fell back to 1
+        mix = _mixture_from_cov(ens.states, cov, obs, gamma)
     out = sample_update(mix, obs, rng)
     e = ess(mix.weights)
     d = div(mix.weights)

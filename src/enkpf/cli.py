@@ -19,7 +19,6 @@ from .bridge import enkpf_update
 from .ensemble import Ensemble, TaperSpec
 from .errors import DegenerateWeightsError, DivergenceError
 from .experiment import (
-    SUMMARY_HEADER,
     _fmt,
     diversity_sweep,
     load_experiment_config,
@@ -88,27 +87,12 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     kwargs = sweep_config_from_dict(raw)
-    rows = diversity_sweep(**kwargs)
-    target = raw.get("output")
-    if target:
-        write_sweep_csv(target, rows)
-    else:
-        sys.stdout.write("prior,y,q,gamma,ess_frac,ess_frac_approx\n")
-        for prior, y_name, q, gamma, frac, approx in rows:
-            sys.stdout.write(
-                ",".join([prior, y_name, str(q), _fmt(gamma), _fmt(frac), _fmt(approx)]) + "\n"
-            )
+    write_sweep_csv(raw.get("output") or sys.stdout, diversity_sweep(**kwargs))
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    rows = summarize(read_cycles_csv(args.infile))
-    if args.out:
-        write_summary_csv(args.out, rows)
-    else:
-        sys.stdout.write(SUMMARY_HEADER + "\n")
-        for name, p10, p50, mean, p90 in rows:
-            sys.stdout.write(",".join([name] + [_fmt(v) for v in (p10, p50, mean, p90)]) + "\n")
+    write_summary_csv(args.out or sys.stdout, summarize(read_cycles_csv(args.infile)))
     return 0
 
 
@@ -158,13 +142,7 @@ def _cmd_update(args) -> int:
         f"gamma={_fmt(diag.gamma)} ess_frac={_fmt(diag.ess / n)} div_frac={_fmt(diag.div / n)}",
         file=sys.stderr,
     )
-    if args.out:
-        write_matrix_csv(args.out, out.states)
-    else:
-        q, n = out.states.shape
-        sys.stdout.write(f"{q},{n}\n")
-        for row in out.states:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+    write_matrix_csv(args.out or sys.stdout, out.states)
     return 0
 
 

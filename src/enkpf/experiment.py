@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .ensemble import Ensemble, TaperSpec, sample_moments, tapered_covariance
 from .errors import DivergenceError
 from .filters import UpdateDiagnostics, enkf_update, pf_update
 from .gamma import GammaPolicy, weight_variance_asymptotic
-from .mixture import build_mixture
+from .mixture import _mixture_from_cov
 from .models import (
     KdVConfig,
     Lorenz96Config,
@@ -229,6 +230,8 @@ def static_prior_observation(prior: str, q: int, y_spec) -> np.ndarray:
         if y.shape != (q,):
             raise ValueError("explicit y must be a q-vector")
         return y
+    if y_spec not in ("y1", "y2"):
+        raise ValueError(f"unknown y preset {y_spec!r}")
     y = np.zeros(q)
     if prior == "gaussian":
         if y_spec == "y2":
@@ -429,28 +432,22 @@ def diversity_sweep(
     """
     if gamma_grid is None:
         gamma_grid = tuple(k / 20.0 for k in range(21))
-    gen = RngNode(seed).child("init", "ensemble").generator()
-    base = gen.standard_normal((STATIC_BASE_DIM, n_members))
+    node = RngNode(seed).child("init", "ensemble")
     rows = []
     for prior in priors:
-        sigma2 = StaticPriorConfig.DEFAULT_SIGMA[prior] ** 2
         for q in dims:
-            x = base[:q].copy()
-            if prior == "bimodal":
-                x[0, n_members // 2 :] += 6.0
-            ens = Ensemble(x)
-            mom = (
-                sample_moments(ens)
-                if raw_moment_estimates
-                else tapered_covariance(ens, taper)
-            )
+            # a fresh generator per scenario, so every prior and q shares one base sample
+            ens = static_prior_ensemble(prior, q, n_members, node.generator())
+            sigma2 = StaticPriorConfig.DEFAULT_SIGMA[prior] ** 2
+            tapered = tapered_covariance(ens, taper)
+            mom = sample_moments(ens) if raw_moment_estimates else tapered
             for y_name in observations:
                 y = static_prior_observation(prior, q, y_name)
                 obs = LinearGaussianObservation.from_indices(
                     np.arange(q), sigma2 * np.eye(q), y, q
                 )
                 for gamma in gamma_grid:
-                    w = build_mixture(ens, obs, gamma, taper).weights
+                    w = _mixture_from_cov(ens.states, tapered.cov, obs, gamma).weights
                     frac = ess(w) / n_members
                     nsq_var = weight_variance_asymptotic(mom.cov, mom.mean, obs, gamma)
                     approx = 1.0 / (1.0 + nsq_var)
@@ -462,18 +459,28 @@ def diversity_sweep(
 # file formats
 
 
-def _open_for_write(path):
-    parent = Path(path).parent
+@contextmanager
+def _text_out(target):
+    """`target` itself when it is an open text stream, else the file at that
+    path, opened for writing after creating its directory."""
+    if hasattr(target, "write"):
+        yield target
+        return
+    parent = Path(target).parent
     if str(parent) not in ("", "."):
         parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w")
+    with open(target, "w") as fh:
+        yield fh
 
 
-def write_matrix_csv(path, matrix: np.ndarray):
-    """(q, N) matrix as CSV: first line 'q,N', then q comma-separated rows."""
+def write_matrix_csv(target, matrix: np.ndarray):
+    """(q, N) matrix as CSV: first line 'q,N', then q comma-separated rows.
+
+    `target` is a path or an open text stream, as for every writer here.
+    """
     matrix = np.asarray(matrix, dtype=float)
     q, n = matrix.shape
-    with _open_for_write(path) as fh:
+    with _text_out(target) as fh:
         fh.write(f"{q},{n}\n")
         for row in matrix:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -508,15 +515,15 @@ def read_cycles_csv(path) -> list[CycleRecord]:
     return records
 
 
-def write_summary_csv(path, rows):
-    with _open_for_write(path) as fh:
+def write_summary_csv(target, rows):
+    with _text_out(target) as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for name, p10, p50, mean, p90 in rows:
             fh.write(",".join([name] + [_fmt(v) for v in (p10, p50, mean, p90)]) + "\n")
 
 
-def write_sweep_csv(path, rows):
-    with _open_for_write(path) as fh:
+def write_sweep_csv(target, rows):
+    with _text_out(target) as fh:
         fh.write("prior,y,q,gamma,ess_frac,ess_frac_approx\n")
         for prior, y_name, q, gamma, frac, approx in rows:
             fh.write(
@@ -527,59 +534,77 @@ def write_sweep_csv(path, rows):
 # ---------------------------------------------------------------------------
 # JSON configuration
 
-_MODEL_KEYS = {
-    "lorenz96": {"kind", "q", "forcing", "dt", "lead_time"},
-    "kdv": {"kind", "grid_points", "internal_dt", "lead_time", "dealias"},
-    "static_prior": {"kind", "prior", "q", "y"},
-}
+_MODELS = {"lorenz96": Lorenz96Config, "kdv": KdVConfig, "static_prior": StaticPriorConfig}
 
 
-def _reject_unknown(d: dict, allowed, context: str):
+def _keys(cls) -> set:
+    """The JSON keys of a section that maps one to one onto a dataclass."""
+    return {f.name for f in fields(cls)}
+
+
+def _reject_unknown(d, allowed, context: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"{context} must be a JSON object, got {json.dumps(d)}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(f"unknown keys in {context}: {unknown}")
 
 
+def _list_of(values, cast, context: str) -> tuple:
+    """A JSON array with `cast` applied to each item; `context` names the key."""
+    if isinstance(values, list):
+        try:
+            return tuple(cast(v) for v in values)
+        except (TypeError, ValueError):
+            pass
+    what = {int: "integers", float: "numbers"}[cast]
+    raise ValueError(f"{context} must be a list of {what}, got {json.dumps(values)}")
+
+
+def _choices_of(values, choices, context: str) -> tuple:
+    """A JSON array whose items all come from `choices`."""
+    if not isinstance(values, list) or any(v not in choices for v in values):
+        drawn = f"a list drawn from {list(choices)}"
+        raise ValueError(f"{context} must be {drawn}, got {json.dumps(values)}")
+    return tuple(values)
+
+
 def _model_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind not in _MODEL_KEYS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    _reject_unknown(d, _MODEL_KEYS[kind], "model")
-    body = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "lorenz96":
-        return Lorenz96Config(**body)
-    if kind == "kdv":
-        return KdVConfig(**body)
-    if "y" in body and isinstance(body["y"], list):
-        body["y"] = tuple(body["y"])
-    return StaticPriorConfig(**body)
+    # keys of any model first, which also checks that the section is an object
+    _reject_unknown(d, {"kind"}.union(*map(_keys, _MODELS.values())), "model")
+    cls = _MODELS.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown model kind {d.get('kind')!r}")
+    _reject_unknown(d, {"kind"} | _keys(cls), "model")
+    return cls(**{k: v for k, v in d.items() if k != "kind"})
 
 
 def _policy_from_dict(d: dict) -> GammaPolicy:
-    _reject_unknown(d, {"mode", "gamma", "band", "grid", "max_probes"}, "filter.policy")
+    _reject_unknown(d, _keys(GammaPolicy), "filter.policy")
     body = dict(d)
-    if "band" in body:
-        body["band"] = tuple(float(v) for v in body["band"])
-    if "grid" in body:
-        body["grid"] = tuple(float(v) for v in body["grid"])
+    for key in ("band", "grid"):
+        if key in body:
+            body[key] = _list_of(body[key], float, f"filter.policy.{key}")
     return GammaPolicy(**body)
 
 
 def _filter_from_dict(d: dict) -> FilterSpec:
-    _reject_unknown(d, {"kind", "policy"}, "filter")
-    policy = _policy_from_dict(d["policy"]) if "policy" in d and d["policy"] is not None else None
+    _reject_unknown(d, _keys(FilterSpec), "filter")
+    policy = _policy_from_dict(d["policy"]) if d.get("policy") is not None else None
     return FilterSpec(kind=d.get("kind", "enkpf"), policy=policy)
 
 
 def _observation_from_dict(d: dict) -> ObservationScheme:
     _reject_unknown(d, {"components", "noise_variance", "schedule"}, "observation")
+    if "noise_variance" not in d:
+        raise ValueError("observation requires the 'noise_variance' key")
     comps = d.get("components")
     if comps == "all":
         comps = None
     elif comps is not None:
-        comps = tuple(int(c) for c in comps)
+        comps = _list_of(comps, int, "observation.components")
     interval = None
-    if "schedule" in d and d["schedule"] is not None:
+    if d.get("schedule") is not None:
         _reject_unknown(d["schedule"], {"interval"}, "observation.schedule")
         interval = d["schedule"].get("interval")
     return ObservationScheme(
@@ -590,24 +615,13 @@ def _observation_from_dict(d: dict) -> ObservationScheme:
 
 
 def _taper_from_dict(d: dict) -> TaperSpec:
-    _reject_unknown(d, {"kind", "support", "topology"}, "taper")
+    _reject_unknown(d, _keys(TaperSpec), "taper")
     return TaperSpec(**d)
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     """Strict parse of the run-configuration schema; unknown keys error out."""
-    allowed = {
-        "model",
-        "filter",
-        "ensemble_size",
-        "cycles",
-        "observation",
-        "taper",
-        "seed",
-        "output_dir",
-        "record_timing",
-    }
-    _reject_unknown(d, allowed, "config")
+    _reject_unknown(d, _keys(ExperimentConfig), "config")
     for key in ("model", "observation"):
         if key not in d:
             raise ValueError(f"config requires the {key!r} section")
@@ -644,18 +658,17 @@ def sweep_config_from_dict(d: dict) -> dict:
     }
     _reject_unknown(d, allowed, "sweep config")
     kwargs = {}
-    if "priors" in d:
-        kwargs["priors"] = tuple(d["priors"])
-    if "observations" in d:
-        kwargs["observations"] = tuple(d["observations"])
+    for key, choices in (("priors", ("gaussian", "bimodal")), ("observations", ("y1", "y2"))):
+        if key in d:
+            kwargs[key] = _choices_of(d[key], choices, f"sweep config {key!r}")
     if "dims" in d:
-        kwargs["dims"] = tuple(int(q) for q in d["dims"])
+        kwargs["dims"] = _list_of(d["dims"], int, "sweep config 'dims'")
     if "ensemble_size" in d:
         kwargs["n_members"] = int(d["ensemble_size"])
     if "taper" in d:
         kwargs["taper"] = _taper_from_dict(d["taper"])
     if "gamma_grid" in d:
-        kwargs["gamma_grid"] = tuple(float(g) for g in d["gamma_grid"])
+        kwargs["gamma_grid"] = _list_of(d["gamma_grid"], float, "sweep config 'gamma_grid'")
     if "seed" in d:
         kwargs["seed"] = int(d["seed"])
     if "raw_moment_estimates" in d:

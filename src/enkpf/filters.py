@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ensemble import Ensemble, TaperSpec, tapered_covariance
-from .observation import LinearGaussianObservation, kalman_gain, log_likelihood
-from .resampling import balanced_resample, div, ess, weights_from_log
+from .mixture import _mixture_from_cov, sample_update
+from .observation import LinearGaussianObservation, kalman_gain
+from .resampling import div, ess
 from .rng import RngNode
 
 __all__ = ["UpdateDiagnostics", "pf_update", "enkf_update"]
@@ -26,35 +25,28 @@ class UpdateDiagnostics:
 
 
 def pf_update(ens: Ensemble, obs: LinearGaussianObservation, rng: RngNode):
-    """Reweight by the full likelihood and balanced-resample.
+    """Bootstrap particle update, the bridged update at gamma = 0: a balanced
+    resampling of the forecast by likelihood weights, with no noise stage.
 
     Returns (analysis ensemble, normalized weights, diagnostics). Raises
     DegenerateWeightsError when every likelihood underflows.
     """
-    logw = log_likelihood(ens.states, obs)
-    w = weights_from_log(logw)
-    idx = balanced_resample(w, rng.child("resample").generator())
-    out = Ensemble(ens.states[:, idx])
-    return out, w, UpdateDiagnostics(gamma=0.0, ess=ess(w), div=div(w))
+    mix = _mixture_from_cov(ens.states, None, obs, 0.0)
+    w = mix.weights
+    return sample_update(mix, obs, rng), w, UpdateDiagnostics(gamma=0.0, ess=ess(w), div=div(w))
 
 
 def enkf_update(
-    ens: Ensemble,
-    obs: LinearGaussianObservation,
-    taper: TaperSpec,
-    rng: RngNode,
-    perturbed: bool = True,
+    ens: Ensemble, obs: LinearGaussianObservation, taper: TaperSpec, rng: RngNode
 ) -> Ensemble:
     """Stochastic (perturbed-observations) Kalman update with tapered covariance.
 
     Each member moves by K (y - H x_j + eps_j) with eps_j ~ N(0, R) drawn
-    from a dedicated noise stream. `perturbed=False` drops the noise term,
-    which exposes the conditional-mean map for testing and for spread
-    references that need the deterministic part only.
+    from the "eps1" child stream of `rng`, the stream the bridged update's
+    stage-one noise uses.
     """
     cov = tapered_covariance(ens, taper).cov
     gain = kalman_gain(cov, obs)
-    innov = obs.y[:, None] - obs.apply_h(ens.states)
-    if perturbed:
-        innov = innov + obs.draw_noise(rng.child("eps1").generator(), ens.n_members)
+    eps = obs.draw_noise(rng.child("eps1").generator(), ens.n_members)
+    innov = obs.y[:, None] - obs.apply_h(ens.states) + eps
     return Ensemble(ens.states + gain @ innov)

@@ -14,15 +14,15 @@ predictions via ess ~ N / (1 + N^2 Var).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .ensemble import Ensemble, TaperSpec, tapered_covariance
 from .filters import enkf_update
-from .mixture import _mixture_from_cov, sample_update
-from .observation import LinearGaussianObservation, kalman_gain, scaled_gain
+from .mixture import _mixture_from_cov, _tempered_stage, sample_update
+from .observation import LinearGaussianObservation, kalman_gain
 from .resampling import div, ess
 from .rng import RngNode
 
@@ -76,16 +76,6 @@ class GammaPolicy:
         return cls(mode="fixed", gamma=float(gamma))
 
 
-def _diversity_fraction(mode, ens, obs, gamma, taper, rng, cov):
-    if mode == "adaptive_spread":
-        if rng is None:
-            raise ValueError("spread-based selection needs an rng node")
-        return spread_criterion(ens, obs, gamma, taper, rng, cov=cov)
-    w = _mixture_from_cov(ens.states, cov, obs, gamma).weights
-    measure = ess if mode == "adaptive_ess" else div
-    return measure(w) / ens.n_members
-
-
 def select_gamma(
     ens: Ensemble,
     obs: LinearGaussianObservation,
@@ -96,30 +86,47 @@ def select_gamma(
 ):
     """Binary-search the policy grid for the smallest acceptable gamma.
 
-    Returns (gamma, probes) where probes lists each evaluated
-    (gamma, diversity fraction) pair. If no probed value reaches the lower
-    band edge, falls back to gamma = 1. Assumes the diversity fraction is
-    nondecreasing in gamma.
+    Returns (gamma, probes, mixture): probes lists each evaluated (gamma,
+    diversity fraction) pair, and mixture is the probe's own build at the
+    returned gamma. If no probed value reaches the lower band edge, falls
+    back to gamma = 1; that and fixed mode return mixture None. Assumes the
+    diversity fraction is nondecreasing in gamma.
     """
     if policy.mode == "fixed":
-        return float(policy.gamma), ()
+        return float(policy.gamma), (), None
     if cov is None:
         cov = tapered_covariance(ens, taper).cov
-    tau0 = policy.band[0]
-    grid = policy.grid
+    if policy.mode == "adaptive_spread":
+        if rng is None:
+            raise ValueError("spread-based selection needs an rng node")
+        reference = enkf_update(ens, obs, taper, rng)  # independent of gamma
+    measure = ess if policy.mode == "adaptive_ess" else div
+    grid, tau0 = policy.grid, policy.band[0]
     lo, hi = 0, len(grid) - 1
-    probes = []
+    probes, chosen = [], (float(grid[-1]), None)
     while lo < hi and len(probes) < policy.max_probes:
         mid = (lo + hi) // 2
-        frac = _diversity_fraction(policy.mode, ens, obs, grid[mid], taper, rng, cov)
+        mix = _mixture_from_cov(ens.states, cov, obs, grid[mid])
+        if policy.mode == "adaptive_spread":
+            frac = _spread_ratio(sample_update(mix, obs, rng), reference)
+        else:
+            frac = measure(mix.weights) / ens.n_members
         probes.append((grid[mid], frac))
         if frac >= tau0:
-            hi = mid
+            # later probes all lie left of this one, so the last to qualify is the smallest
+            chosen, hi = (float(grid[mid]), mix), mid
         else:
             lo = mid + 1
-    qualifying = [g for g, frac in probes if frac >= tau0]
-    gamma = min(qualifying) if qualifying else grid[-1]
-    return float(gamma), tuple(probes)
+    return chosen[0], tuple(probes), chosen[1]
+
+
+def _spread_ratio(bridged: Ensemble, reference: Ensemble) -> float:
+    s_b = bridged.states.std(axis=1, ddof=1)
+    s_r = reference.states.std(axis=1, ddof=1)
+    ratio = np.ones(s_r.shape)
+    live = s_r > 0.0
+    ratio[live] = np.minimum(1.0, s_b[live] / s_r[live])
+    return float(ratio.mean())
 
 
 def spread_criterion(
@@ -139,29 +146,16 @@ def spread_criterion(
     """
     if cov is None:
         cov = tapered_covariance(ens, taper).cov
-    mix = _mixture_from_cov(ens.states, cov, obs, gamma)
-    bridged = sample_update(mix, obs, rng)
-    reference = enkf_update(ens, obs, taper, rng)
-    s_b = bridged.states.std(axis=1, ddof=1)
-    s_r = reference.states.std(axis=1, ddof=1)
-    ratio = np.ones(ens.q)
-    live = s_r > 0.0
-    ratio[live] = np.minimum(1.0, s_b[live] / s_r[live])
-    return float(ratio.mean())
+    bridged = sample_update(_mixture_from_cov(ens.states, cov, obs, gamma), obs, rng)
+    return _spread_ratio(bridged, enkf_update(ens, obs, taper, rng))
 
 
 def _weight_quadratic(cov, mean, obs, gamma):
     """Coefficients (C, d) of the log mixture weight as a quadratic in the
     forecast deviation: log w = -1/2 (x - mean)' C (x - mean) + d'(x - mean) + const."""
-    gain = scaled_gain(cov, obs, gamma)
-    if gamma == 0.0:
-        qcov = np.zeros_like(cov)
-    else:
-        qcov = (gain @ obs.R @ gain.T) / gamma
-        qcov = 0.5 * (qcov + qcov.T)
-    r = obs.r
+    gain, qcov = _tempered_stage(cov, obs, gamma)
     a = (1.0 - gamma) * obs.hp_ht(qcov) + obs.R
-    b = np.eye(r) - obs.apply_h(gain)
+    b = np.eye(obs.r) - obs.apply_h(gain)
     core = b.T @ cho_solve(cho_factor(0.5 * (a + a.T), lower=True), b)
     core = (1.0 - gamma) * 0.5 * (core + core.T)
     c_mat = obs.ht_m_h(core)

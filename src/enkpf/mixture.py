@@ -64,18 +64,30 @@ class PosteriorMixture:
     weights: np.ndarray
 
 
-def _mixture_from_cov(states, cov, obs, gamma) -> GaussianMixtureUpdate:
-    """build_mixture body, reusing a precomputed (tapered) covariance."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    q, n = states.shape
-    gain1 = scaled_gain(cov, obs, gamma)
-    means = states + gain1 @ (obs.y[:, None] - obs.apply_h(states))
+def _tempered_stage(cov, obs, gamma):
+    """(gain1, qcov): the tempered gain K(gamma P) and the component
+    covariance K R K' / gamma it leaves. Both are zero at gamma = 0, where
+    `cov` is not read and may be None."""
     if gamma == 0.0:
-        qcov = np.zeros((q, q))
+        q = obs.state_dim
+        return np.zeros((q, obs.r)), np.zeros((q, q))
+    gain1 = scaled_gain(cov, obs, gamma)
+    qcov = (gain1 @ obs.R @ gain1.T) / gamma
+    return gain1, 0.5 * (qcov + qcov.T)
+
+
+def _mixture_from_cov(states, cov, obs, gamma) -> GaussianMixtureUpdate:
+    """build_mixture body, reusing a precomputed (tapered) covariance; at
+    gamma = 0 (the particle filter) it reads no covariance and forms no gain.
+    A gamma outside [0, 1] is rejected by scaled_gain."""
+    n = states.shape[1]
+    gain1, qcov = _tempered_stage(cov, obs, gamma)
+    if gamma == 0.0:
+        # both stages are empty: centers stay put, the residual gain is zero
+        means, gain2 = states, gain1
     else:
-        qcov = (gain1 @ obs.R @ gain1.T) / gamma
-        qcov = 0.5 * (qcov + qcov.T)
+        means = states + gain1 @ (obs.y[:, None] - obs.apply_h(states))
+        gain2 = kalman_gain((1.0 - gamma) * qcov, obs)
     if gamma == 1.0:
         weights = np.full(n, 1.0 / n)
     else:
@@ -83,7 +95,6 @@ def _mixture_from_cov(states, cov, obs, gamma) -> GaussianMixtureUpdate:
         s = obs.hp_ht(qcov) + obs.R / (1.0 - gamma)
         logw = gaussian_innovation_loglik(obs.y[:, None] - obs.apply_h(means), s)
         weights = weights_from_log(logw)
-    gain2 = kalman_gain((1.0 - gamma) * qcov, obs)
     return GaussianMixtureUpdate(
         means=means, cov=qcov, weights=weights, gamma=float(gamma), gain1=gain1, gain2=gain2
     )
@@ -101,8 +112,7 @@ def build_mixture(
     gamma = 1 they are exactly uniform. Both endpoints are hard branches,
     not numerical limits.
     """
-    cov = tapered_covariance(ens, taper).cov
-    return _mixture_from_cov(ens.states, cov, obs, gamma)
+    return _mixture_from_cov(ens.states, tapered_covariance(ens, taper).cov, obs, gamma)
 
 
 def posterior_mixture(
@@ -126,17 +136,19 @@ def sample_update(
 
     Resampling, stage-one noise, and stage-two noise each consume their own
     child stream of `rng`, so the draws for one stage never depend on gamma
-    or on what the other stages consumed. A skipped stage (gamma at either
-    endpoint) draws nothing at all.
+    or on what the other stages consumed. An endpoint skips a noise stage
+    and draws nothing for it: gamma = 1 has no stage two (gain2 is zero),
+    and gamma = 0 has neither, which leaves particle-filter resampling.
     """
     gamma = mix.gamma
     n = mix.means.shape[1]
     idx = balanced_resample(mix.weights, rng.child("resample").generator())
-    x = mix.means[:, idx]
+    # take gives a C-ordered copy, so every gamma hands back the same memory layout
+    x = mix.means.take(idx, axis=1)
     if gamma > 0.0:
         eps1 = obs.draw_noise(rng.child("eps1").generator(), n)
         x = x + mix.gain1 @ (eps1 / np.sqrt(gamma))
-    if gamma < 1.0:
+    if 0.0 < gamma < 1.0:
         eps2 = obs.draw_noise(rng.child("eps2").generator(), n)
         innov = obs.y[:, None] + eps2 / np.sqrt(1.0 - gamma) - obs.apply_h(x)
         x = x + mix.gain2 @ innov

@@ -9,7 +9,7 @@ import pytest
 
 import enkpf
 from enkpf import read_matrix_csv, write_matrix_csv
-from enkpf.cli import main
+from enkpf.cli import console_main, main
 
 
 def _write_run_config(path, seed=7, out=None):
@@ -117,7 +117,9 @@ def test_summarize_stdout(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"rmse", "crps_1", "crps_2"}
     summary = tmp_path / "summary.csv"
     main(["summarize", "--in", str(tmp_path / "out" / "cycles.csv"), "--out", str(summary)])
-    assert summary.read_text().splitlines()[0] == "score,p10,p50,mean,p90"
+    assert summary.read_text() == "\n".join(lines) + "\n"
+    # the run wrote its own summary through the same writer
+    assert (tmp_path / "out" / "summary.csv").read_text() == summary.read_text()
 
 
 def _write_update_inputs(tmp_path):
@@ -152,6 +154,11 @@ def test_update_auto_gamma_stdout(tmp_path, capsys):
     lines = captured.out.strip().splitlines()
     assert lines[0] == "6,25"
     assert len(lines) == 7
+    out = tmp_path / "upd.csv"
+    args = ["update", "--ensemble", str(ens_csv), "--obs", str(obs_csv), "--gamma", "auto"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == captured.err
+    assert out.read_text() == captured.out
 
 
 def test_update_is_repeatable(tmp_path, capsys):
@@ -225,4 +232,46 @@ def test_console_script_reports_bad_update_input_in_one_line(tmp_path, make_inpu
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
+    assert line.startswith("enkpf: ") and expected in line
+
+
+_RUN_BASE = {
+    "model": {"kind": "lorenz96", "q": 8, "lead_time": 0.05},
+    "observation": {"noise_variance": 0.5},
+    "ensemble_size": 10,
+    "cycles": 1,
+}
+_SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "gamma_grid": [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, expected",
+    [
+        ("run", {**_RUN_BASE, "filter": "pf"}, 'filter must be a JSON object, got "pf"'),
+        ("run", {**_RUN_BASE, "model": "lorenz96"}, 'model must be a JSON object, got "lorenz96"'),
+        ("run", {**_RUN_BASE, "model": None}, "model must be a JSON object, got null"),
+        ("run", {**_RUN_BASE, "observation": {"components": [1]}}, "'noise_variance'"),
+        ("sweep", {**_SWEEP_BASE, "dims": "abc"}, "'dims' must be a list of integers"),
+        ("sweep", {**_SWEEP_BASE, "priors": "gaussian"}, "'priors' must be a list drawn from"),
+        ("sweep", {**_SWEEP_BASE, "priors": ["foo"]}, "'priors' must be a list drawn from"),
+        ("sweep", {**_SWEEP_BASE, "observations": ["y9"]}, "'observations' must be a list"),
+    ],
+    ids=[
+        "filter_string",
+        "model_string",
+        "model_null",
+        "observation_without_noise_variance",
+        "sweep_dims_string",
+        "sweep_priors_string",
+        "sweep_priors_unknown",
+        "sweep_observations_unknown",
+    ],
+)
+def test_console_script_names_bad_config_key(tmp_path, capsys, command, payload, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert console_main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
     assert line.startswith("enkpf: ") and expected in line

@@ -46,6 +46,8 @@ def test_static_prior_observation_presets():
     assert np.array_equal(static_prior_observation("bimodal", 3, "y1"), [-2.0, 0, 0])
     assert np.array_equal(static_prior_observation("bimodal", 3, "y2"), [3.0, 0, 0])
     assert np.array_equal(static_prior_observation("gaussian", 2, (0.7, -0.1)), [0.7, -0.1])
+    with pytest.raises(ValueError):
+        static_prior_observation("gaussian", 4, "y9")
 
 
 def test_config_validation():

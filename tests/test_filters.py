@@ -76,14 +76,17 @@ def test_enkf_huge_noise_leaves_ensemble():
 
 
 def test_enkf_conditional_mean_is_affine_map():
+    # out = x + K (y - H x + eps), eps rebuilt from the same "eps1" stream
     gen = np.random.default_rng(7)
     ens = Ensemble(gen.standard_normal((3, 9)))
     obs = LinearGaussianObservation.from_indices(
         [0, 2], np.diag([0.5, 0.8]), np.array([1.0, -0.5]), 3)
-    out = enkf_update(ens, obs, NO_TAPER, RngNode(7), perturbed=False)
+    out = enkf_update(ens, obs, NO_TAPER, RngNode(7))
     K = kalman_gain(tapered_covariance(ens, NO_TAPER).cov, obs)
-    expect = ens.states + K @ (obs.y[:, None] - ens.states[[0, 2], :])
-    assert np.allclose(out.states, expect, rtol=0, atol=1e-14)
+    eps = obs.draw_noise(RngNode(7).child("eps1").generator(), 9)
+    assert np.any(eps != 0.0)
+    expect = ens.states + K @ (obs.y[:, None] - ens.states[[0, 2], :] + eps)
+    assert np.array_equal(out.states, expect)
 
 
 def test_enkf_conjugate_posterior_moments():

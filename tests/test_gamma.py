@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import enkpf.bridge
+import enkpf.gamma
 from enkpf import (
     DEFAULT_GAMMA_GRID,
     Ensemble,
@@ -9,6 +11,7 @@ from enkpf import (
     NO_TAPER,
     RngNode,
     build_mixture,
+    enkpf_update,
     ess,
     select_gamma,
     spread_criterion,
@@ -47,9 +50,10 @@ def test_policy_validation():
 
 def test_fixed_mode_probes_nothing():
     ens = Ensemble(np.array([[0.0, 1.0, 2.0]]))
-    gamma, probes = select_gamma(ens, scalar_obs(0.0, 1.0), GammaPolicy.fixed(0.3), NO_TAPER)
+    gamma, probes, mix = select_gamma(ens, scalar_obs(0.0, 1.0), GammaPolicy.fixed(0.3), NO_TAPER)
     assert gamma == 0.3
     assert probes == ()
+    assert mix is None
 
 
 def test_selection_respects_probe_budget_and_band():
@@ -61,7 +65,7 @@ def test_selection_respects_probe_budget_and_band():
         ens = Ensemble(gen.standard_normal((q, n)) * gen.uniform(0.5, 2.0))
         obs = scalar_obs(float(gen.normal(0, 2)), float(gen.uniform(0.05, 1.0)), q)
         policy = GammaPolicy(mode="adaptive_ess", band=(0.4, 0.7))
-        gamma, probes = select_gamma(ens, obs, policy, NO_TAPER, rng=node.child(trial))
+        gamma, probes, mix = select_gamma(ens, obs, policy, NO_TAPER, rng=node.child(trial))
         assert len(probes) <= policy.max_probes
         assert all(g in policy.grid for g, _ in probes)
         qualifying = [g for g, frac in probes if frac >= 0.4]
@@ -72,6 +76,12 @@ def test_selection_respects_probe_budget_and_band():
         # the contract: the returned value qualifies, or it is the fallback 1
         w = build_mixture(ens, obs, gamma, NO_TAPER).weights
         assert ess(w) >= 0.4 * n or gamma == 1.0
+        # the returned mixture is the probe's own build at that gamma
+        if qualifying:
+            assert mix.gamma == gamma
+            assert np.array_equal(mix.weights, w)
+        else:
+            assert mix is None
 
 
 def test_selection_descends_to_small_gamma_when_diverse():
@@ -79,7 +89,7 @@ def test_selection_descends_to_small_gamma_when_diverse():
     gen = np.random.default_rng(1)
     ens = Ensemble(gen.standard_normal((1, 30)))
     obs = scalar_obs(0.0, 50.0)
-    gamma, probes = select_gamma(ens, obs, GammaPolicy(mode="adaptive_ess"), NO_TAPER)
+    gamma, probes, _ = select_gamma(ens, obs, GammaPolicy(mode="adaptive_ess"), NO_TAPER)
     assert gamma == min(g for g, _ in probes)
     assert all(frac >= 0.25 for _, frac in probes)
     assert gamma <= 1.0 / 15.0
@@ -92,8 +102,9 @@ def test_selection_falls_back_to_one():
     ens = Ensemble(gen.standard_normal((1, 20)))
     obs = scalar_obs(1000.0, 1.0)
     policy = GammaPolicy(mode="adaptive_ess", band=(0.99, 1.0))
-    gamma, probes = select_gamma(ens, obs, policy, NO_TAPER)
+    gamma, probes, mix = select_gamma(ens, obs, policy, NO_TAPER)
     assert gamma == 1.0
+    assert mix is None
     assert len(probes) == 4
     assert all(frac < 0.99 for _, frac in probes)
 
@@ -102,7 +113,7 @@ def test_div_based_selection_runs():
     gen = np.random.default_rng(3)
     ens = Ensemble(gen.standard_normal((2, 25)))
     obs = scalar_obs(1.0, 0.5, 2)
-    gamma, probes = select_gamma(ens, obs, GammaPolicy(mode="adaptive_div"), NO_TAPER)
+    gamma, probes, _ = select_gamma(ens, obs, GammaPolicy(mode="adaptive_div"), NO_TAPER)
     assert 0.0 <= gamma <= 1.0
     assert probes
 
@@ -121,6 +132,41 @@ def test_spread_criterion_cases():
     # Gaussian case at moderate gamma: both updates target the same posterior
     s = spread_criterion(ens, obs, 0.5, NO_TAPER, node.child("c"))
     assert 0.9 <= s <= 1.0
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("mode", ["adaptive_ess", "adaptive_div", "adaptive_spread"])
+@pytest.mark.parametrize(
+    "y, band, fall_back",
+    # an observation hundreds of sigmas out qualifies no gamma < 1
+    [(2.5, (0.25, 0.5), False), (1000.0, (0.99, 1.0), True)],
+    ids=["chosen", "fallback"],
+)
+def test_update_builds_each_mixture_once(monkeypatch, mode, y, band, fall_back):
+    # probes build through enkpf.gamma, the update itself through enkpf.bridge;
+    # the bridge builds only when selection fell back to gamma = 1
+    counter = {"_mixture_from_cov": 0, "enkf_update": 0}
+    _count_calls(monkeypatch, enkpf.gamma, "_mixture_from_cov", counter)
+    _count_calls(monkeypatch, enkpf.bridge, "_mixture_from_cov", counter)
+    _count_calls(monkeypatch, enkpf.gamma, "enkf_update", counter)
+    gen = np.random.default_rng(17)
+    ens = Ensemble(gen.standard_normal((3, 40)))
+    obs = scalar_obs(y, 0.2, 3)
+    policy = GammaPolicy(mode=mode, band=band)
+    _, diag = enkpf_update(ens, obs, policy, NO_TAPER, RngNode(4).child("u"))
+    assert (diag.gamma == 1.0) == fall_back
+    assert all(frac < band[0] for _, frac in diag.probes) == fall_back
+    assert counter["_mixture_from_cov"] == len(diag.probes) + fall_back
+    assert counter["enkf_update"] == (mode == "adaptive_spread")
 
 
 def test_weight_variance_exact_scalar_formula():

@@ -7,14 +7,17 @@ from enkpf import (
     LinearGaussianObservation,
     NO_TAPER,
     RngNode,
+    balanced_resample,
     build_mixture,
     gaussian_innovation_loglik,
     kalman_gain,
+    log_likelihood,
     pf_update,
     posterior_mixture,
     sample_update,
     weights_from_log,
 )
+from enkpf.mixture import _mixture_from_cov
 
 
 def scalar_obs(y, r_var, state_dim=1):
@@ -40,6 +43,20 @@ class _ZeroNode:
         return _ZeroGenerator()
 
 
+class _RecordingNode:
+    """Wraps an RngNode and records the key path of every stream it hands out."""
+
+    def __init__(self, node, drawn, path=()):
+        self.node, self.drawn, self.path = node, drawn, path
+
+    def child(self, *keys):
+        return _RecordingNode(self.node.child(*keys), self.drawn, self.path + keys)
+
+    def generator(self):
+        self.drawn.append(self.path)
+        return self.node.generator()
+
+
 def test_build_mixture_scalar_case():
     # members +-sqrt(1/2) have sample variance exactly 1
     a = np.sqrt(0.5)
@@ -63,7 +80,7 @@ def test_mixture_weights_at_zero_match_particle_filter():
     obs = LinearGaussianObservation.from_indices(
         [0, 2], np.diag([0.5, 0.4]), np.array([1.2, -0.3]), 4)
     mix = build_mixture(ens, obs, 0.0, NO_TAPER)
-    _, w_pf, _ = pf_update(ens, obs, RngNode(0))
+    w_pf = weights_from_log(log_likelihood(ens.states, obs))
     assert np.allclose(mix.weights, w_pf, rtol=0, atol=1e-12)
     assert np.all(mix.cov == 0.0)
     assert np.array_equal(mix.means, ens.states)
@@ -135,13 +152,31 @@ def test_two_component_posterior_matches_grid_quadrature():
 
 
 def test_sample_update_at_zero_equals_pf():
+    # gamma = 0 is the bootstrap particle filter: a balanced resampling of
+    # the forecast by likelihood weights, with no noise added
     gen = np.random.default_rng(4)
     ens = Ensemble(gen.standard_normal((2, 40)))
     obs = scalar_obs(0.2, 0.3, 2)
     node = RngNode(77).child("upd")
-    out_pf, _, _ = pf_update(ens, obs, node)
-    out_mix = sample_update(build_mixture(ens, obs, 0.0, NO_TAPER), obs, node)
-    assert np.array_equal(out_pf.states, out_mix.states)
+    w = weights_from_log(log_likelihood(ens.states, obs))
+    idx = balanced_resample(w, node.child("resample").generator())
+    drawn = []
+    mix = build_mixture(ens, obs, 0.0, NO_TAPER)
+    out_mix = sample_update(mix, obs, _RecordingNode(node, drawn))
+    assert np.array_equal(out_mix.states, ens.states[:, idx])
+    assert drawn == [("resample",)]  # neither noise stage draws
+    out_pf, w_pf, _ = pf_update(ens, obs, node)
+    assert np.array_equal(out_pf.states, ens.states[:, idx])
+    assert np.array_equal(w_pf, w)
+
+
+def test_mixture_at_zero_needs_no_covariance():
+    gen = np.random.default_rng(5)
+    ens = Ensemble(gen.standard_normal((3, 12)))
+    obs = scalar_obs(0.4, 0.6, 3)
+    mix = _mixture_from_cov(ens.states, None, obs, 0.0)
+    assert np.array_equal(mix.weights, build_mixture(ens, obs, 0.0, NO_TAPER).weights)
+    assert np.all(mix.gain1 == 0.0) and np.all(mix.gain2 == 0.0)
 
 
 def test_sample_update_noise_free_collapse():
