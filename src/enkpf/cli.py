@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .blas import single_thread
 from .bridge import enkpf_update
 from .ensemble import Ensemble, TaperSpec
 from .errors import DegenerateWeightsError, DivergenceError
@@ -154,7 +155,8 @@ def main(argv=None) -> int:
         "summarize": _cmd_summarize,
         "update": _cmd_update,
     }[args.command]
-    return handler(args)
+    with single_thread():
+        return handler(args)
 
 
 def console_main(argv=None) -> int:

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 import time
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .blas import single_thread
 from .bridge import enkpf_update
 from .ensemble import Ensemble, TaperSpec, sample_moments, tapered_covariance
 from .errors import DivergenceError
@@ -313,6 +316,7 @@ class _CycleWriter:
         self._fh.close()
 
 
+@single_thread()
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     """Run the configured experiment; returns (records, final states).
 
@@ -413,6 +417,7 @@ def summarize(records) -> list[tuple[str, float, float, float, float]]:
 # single-update diversity sweep
 
 
+@single_thread()
 def diversity_sweep(
     priors=("gaussian", "bimodal"),
     observations=("y1", "y2"),
@@ -480,10 +485,13 @@ def write_matrix_csv(target, matrix: np.ndarray):
     """
     matrix = np.asarray(matrix, dtype=float)
     q, n = matrix.shape
+    # one %-format per row of Python floats writes _fmt's digits without a
+    # format call per numpy scalar, which took half the writer's time
+    row_format = ",".join(["%.17g"] * n) + "\n"
     with _text_out(target) as fh:
         fh.write(f"{q},{n}\n")
         for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -550,6 +558,39 @@ def _reject_unknown(d, allowed, context: str):
         raise ValueError(f"unknown keys in {context}: {unknown}")
 
 
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _scalar(value, kind, context: str):
+    """`value` when its JSON type is `kind`, else a ValueError naming the key
+    `context`. An integer passes as a number; true and false pass only as
+    booleans."""
+    if kind is bool:
+        fits = isinstance(value, bool)
+    else:
+        fits = isinstance(value, (int, float) if kind is float else kind)
+        fits = fits and not isinstance(value, bool)
+    if not fits:
+        raise ValueError(f"{context} must be {_SCALARS[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _check_scalars(d: dict, cls, context: str):
+    """_scalar on every key of `d` that names a bool, int, float or str field
+    of dataclass `cls`, where null also passes if the field is `X | None`.
+    Other fields are left to their own parsers."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if name not in d:
+            continue
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        kinds = typing.get_args(hint) if union else (hint,)
+        rest = [k for k in kinds if k is not type(None)]
+        if len(rest) != 1 or rest[0] not in _SCALARS:
+            continue
+        if d[name] is not None or len(kinds) == 1:
+            _scalar(d[name], rest[0], f"{context}.{name}")
+
+
 def _list_of(values, cast, context: str) -> tuple:
     """A JSON array with `cast` applied to each item; `context` names the key."""
     if isinstance(values, list):
@@ -576,11 +617,13 @@ def _model_from_dict(d: dict):
     if cls is None:
         raise ValueError(f"unknown model kind {d.get('kind')!r}")
     _reject_unknown(d, {"kind"} | _keys(cls), "model")
+    _check_scalars(d, cls, "model")
     return cls(**{k: v for k, v in d.items() if k != "kind"})
 
 
 def _policy_from_dict(d: dict) -> GammaPolicy:
     _reject_unknown(d, _keys(GammaPolicy), "filter.policy")
+    _check_scalars(d, GammaPolicy, "filter.policy")
     body = dict(d)
     for key in ("band", "grid"):
         if key in body:
@@ -590,6 +633,7 @@ def _policy_from_dict(d: dict) -> GammaPolicy:
 
 def _filter_from_dict(d: dict) -> FilterSpec:
     _reject_unknown(d, _keys(FilterSpec), "filter")
+    _check_scalars(d, FilterSpec, "filter")
     policy = _policy_from_dict(d["policy"]) if d.get("policy") is not None else None
     return FilterSpec(kind=d.get("kind", "enkpf"), policy=policy)
 
@@ -598,6 +642,7 @@ def _observation_from_dict(d: dict) -> ObservationScheme:
     _reject_unknown(d, {"components", "noise_variance", "schedule"}, "observation")
     if "noise_variance" not in d:
         raise ValueError("observation requires the 'noise_variance' key")
+    _check_scalars(d, ObservationScheme, "observation")
     comps = d.get("components")
     if comps == "all":
         comps = None
@@ -606,6 +651,7 @@ def _observation_from_dict(d: dict) -> ObservationScheme:
     interval = None
     if d.get("schedule") is not None:
         _reject_unknown(d["schedule"], {"interval"}, "observation.schedule")
+        _check_scalars(d["schedule"], ObservationScheme, "observation.schedule")
         interval = d["schedule"].get("interval")
     return ObservationScheme(
         components=comps,
@@ -616,25 +662,27 @@ def _observation_from_dict(d: dict) -> ObservationScheme:
 
 def _taper_from_dict(d: dict) -> TaperSpec:
     _reject_unknown(d, _keys(TaperSpec), "taper")
+    _check_scalars(d, TaperSpec, "taper")
     return TaperSpec(**d)
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     """Strict parse of the run-configuration schema; unknown keys error out."""
     _reject_unknown(d, _keys(ExperimentConfig), "config")
+    _check_scalars(d, ExperimentConfig, "config")
     for key in ("model", "observation"):
         if key not in d:
             raise ValueError(f"config requires the {key!r} section")
     return ExperimentConfig(
         model=_model_from_dict(d["model"]),
         filter=_filter_from_dict(d.get("filter", {"kind": "enkpf"})),
-        ensemble_size=int(d.get("ensemble_size", 100)),
-        cycles=int(d.get("cycles", 1)),
+        ensemble_size=d.get("ensemble_size", 100),
+        cycles=d.get("cycles", 1),
         observation=_observation_from_dict(d["observation"]),
         taper=_taper_from_dict(d.get("taper", {})),
-        seed=int(d.get("seed", 0)),
+        seed=d.get("seed", 0),
         output_dir=d.get("output_dir"),
-        record_timing=bool(d.get("record_timing", False)),
+        record_timing=d.get("record_timing", False),
     )
 
 
@@ -664,13 +712,16 @@ def sweep_config_from_dict(d: dict) -> dict:
     if "dims" in d:
         kwargs["dims"] = _list_of(d["dims"], int, "sweep config 'dims'")
     if "ensemble_size" in d:
-        kwargs["n_members"] = int(d["ensemble_size"])
+        kwargs["n_members"] = _scalar(d["ensemble_size"], int, "sweep config 'ensemble_size'")
     if "taper" in d:
         kwargs["taper"] = _taper_from_dict(d["taper"])
     if "gamma_grid" in d:
         kwargs["gamma_grid"] = _list_of(d["gamma_grid"], float, "sweep config 'gamma_grid'")
     if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
+        kwargs["seed"] = _scalar(d["seed"], int, "sweep config 'seed'")
     if "raw_moment_estimates" in d:
-        kwargs["raw_moment_estimates"] = bool(d["raw_moment_estimates"])
+        context = "sweep config 'raw_moment_estimates'"
+        kwargs["raw_moment_estimates"] = _scalar(d["raw_moment_estimates"], bool, context)
+    if d.get("output") is not None:
+        _scalar(d["output"], str, "sweep config 'output'")
     return kwargs

@@ -99,7 +99,7 @@ def select_gamma(
     if policy.mode == "adaptive_spread":
         if rng is None:
             raise ValueError("spread-based selection needs an rng node")
-        reference = enkf_update(ens, obs, taper, rng)  # independent of gamma
+        reference = enkf_update(ens, obs, taper, rng, cov=cov)  # independent of gamma
     measure = ess if policy.mode == "adaptive_ess" else div
     grid, tau0 = policy.grid, policy.band[0]
     lo, hi = 0, len(grid) - 1
@@ -147,7 +147,7 @@ def spread_criterion(
     if cov is None:
         cov = tapered_covariance(ens, taper).cov
     bridged = sample_update(_mixture_from_cov(ens.states, cov, obs, gamma), obs, rng)
-    return _spread_ratio(bridged, enkf_update(ens, obs, taper, rng))
+    return _spread_ratio(bridged, enkf_update(ens, obs, taper, rng, cov=cov))
 
 
 def _weight_quadratic(cov, mean, obs, gamma):

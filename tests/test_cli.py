@@ -255,6 +255,15 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         ("sweep", {**_SWEEP_BASE, "priors": "gaussian"}, "'priors' must be a list drawn from"),
         ("sweep", {**_SWEEP_BASE, "priors": ["foo"]}, "'priors' must be a list drawn from"),
         ("sweep", {**_SWEEP_BASE, "observations": ["y9"]}, "'observations' must be a list"),
+        ("run", {**_RUN_BASE, "model": {"kind": "lorenz96", "q": "x"}},
+         'model.q must be an integer, got "x"'),
+        ("run", {**_RUN_BASE, "taper": {"kind": "gaspari_cohn", "support": "x"}},
+         'taper.support must be a number, got "x"'),
+        ("run", {**_RUN_BASE, "observation": {"noise_variance": 0.5, "schedule": {"interval": "x"}}},
+         'observation.schedule.interval must be a number, got "x"'),
+        ("run", {**_RUN_BASE, "ensemble_size": "x"}, 'config.ensemble_size must be an integer'),
+        ("sweep", {**_SWEEP_BASE, "ensemble_size": "x"}, "'ensemble_size' must be an integer"),
+        ("sweep", {**_SWEEP_BASE, "output": 5}, "'output' must be a string, got 5"),
     ],
     ids=[
         "filter_string",
@@ -265,6 +274,12 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         "sweep_priors_string",
         "sweep_priors_unknown",
         "sweep_observations_unknown",
+        "model_q_string",
+        "taper_support_string",
+        "schedule_interval_string",
+        "ensemble_size_string",
+        "sweep_ensemble_size_string",
+        "sweep_output_number",
     ],
 )
 def test_console_script_names_bad_config_key(tmp_path, capsys, command, payload, expected):

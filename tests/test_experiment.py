@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from enkpf import (
     summarize,
     write_matrix_csv,
 )
+from enkpf.experiment import _fmt
 
 
 def test_static_prior_uses_one_base_sample():
@@ -197,6 +199,18 @@ def test_matrix_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back, m)  # 17 significant digits reproduce doubles
 
 
+def test_matrix_csv_matches_per_element_format():
+    # the reference writer: _fmt on every element, joined per row
+    gen = np.random.default_rng(8)
+    m = gen.standard_normal((5, 7)) * 10.0 ** gen.integers(-300, 300, (5, 7))
+    m[0, :6] = [0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300]
+    m[1, :3] = [np.nan, np.inf, -np.inf]
+    reference = "5,7\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in m)
+    buf = io.StringIO()
+    write_matrix_csv(buf, m)
+    assert buf.getvalue() == reference
+
+
 def test_matrix_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,header\n1.0,2.0\n")
@@ -222,6 +236,27 @@ def test_config_parsing_rejects_unknown_keys(tmp_path):
             experiment_config_from_dict(bad)
     with pytest.raises(ValueError):
         experiment_config_from_dict({"model": {"kind": "heat"}, "observation": {"noise_variance": 1.0}})
+
+
+def test_config_scalars_checked_by_json_type():
+    good = {
+        "model": {"kind": "lorenz96", "q": 8, "lead_time": 1},
+        "observation": {"noise_variance": 1, "schedule": {"interval": None}},
+        "taper": {"kind": "triangular", "support": 3},
+        "record_timing": True,
+    }
+    cfg = experiment_config_from_dict(good)  # integers pass as numbers, null where optional
+    assert cfg.model.lead_time == 1 and cfg.observation.interval is None
+    for bad, message in (
+        ({**good, "cycles": 2.0}, "config.cycles must be an integer, got 2.0"),
+        ({**good, "seed": True}, "config.seed must be an integer, got true"),
+        ({**good, "record_timing": 1}, "config.record_timing must be true or false, got 1"),
+        ({**good, "output_dir": 5}, "config.output_dir must be a string, got 5"),
+        ({**good, "model": {"kind": "kdv", "dealias": "no"}}, "model.dealias must be true or"),
+        ({**good, "filter": {"policy": {"max_probes": None}}}, "filter.policy.max_probes must"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            experiment_config_from_dict(bad)
 
 
 def test_load_config_file(tmp_path):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import enkpf.bridge
+import enkpf.filters
 import enkpf.gamma
+import enkpf.mixture
 from enkpf import (
     DEFAULT_GAMMA_GRID,
     Ensemble,
@@ -167,6 +169,19 @@ def test_update_builds_each_mixture_once(monkeypatch, mode, y, band, fall_back):
     assert all(frac < band[0] for _, frac in diag.probes) == fall_back
     assert counter["_mixture_from_cov"] == len(diag.probes) + fall_back
     assert counter["enkf_update"] == (mode == "adaptive_spread")
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive_ess", "adaptive_div", "adaptive_spread"])
+def test_update_computes_the_covariance_once(monkeypatch, mode):
+    # the spread reference reuses the covariance the update computed
+    counter = {"tapered_covariance": 0}
+    for module in (enkpf.bridge, enkpf.gamma, enkpf.filters, enkpf.mixture):
+        _count_calls(monkeypatch, module, "tapered_covariance", counter)
+    gen = np.random.default_rng(17)
+    ens = Ensemble(gen.standard_normal((3, 40)))
+    policy = GammaPolicy.fixed(0.5) if mode == "fixed" else GammaPolicy(mode=mode)
+    enkpf_update(ens, scalar_obs(2.5, 0.2, 3), policy, NO_TAPER, RngNode(4).child("u"))
+    assert counter["tapered_covariance"] == 1
 
 
 def test_weight_variance_exact_scalar_formula():
