@@ -71,7 +71,7 @@ def main():
     args = ap.parse_args()
 
     rows = diversity_sweep(
-        n_members=args.members, seed=args.seed, raw_moment_estimates=args.raw_moments
+        ensemble_size=args.members, seed=args.seed, raw_moment_estimates=args.raw_moments
     )
     if args.out:
         write_sweep_csv(args.out, rows)

@@ -8,29 +8,22 @@ on most seeds.
 """
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
-from enkpf import (
-    ExperimentConfig,
-    FilterSpec,
-    GammaPolicy,
-    KdVConfig,
-    ObservationScheme,
-    curvature,
-    run_experiment,
-)
+from enkpf import FilterSpec, GammaPolicy, curvature, load_experiment_config, run_experiment
 
-OBSERVED = (13, 38, 58, 76, 88, 106)
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "kdv_enkpf.json"
 
 
 def make_config(kind, seed, gamma):
+    """configs/kdv_enkpf.json with the filter and seed replaced and no outputs."""
     policy = GammaPolicy.fixed(gamma) if kind == "enkpf" else None
-    return ExperimentConfig(
-        model=KdVConfig(),
+    return replace(
+        load_experiment_config(CONFIG),
         filter=FilterSpec(kind=kind, policy=policy),
-        ensemble_size=16,
-        cycles=10,
-        observation=ObservationScheme(components=OBSERVED, noise_variance=0.02),
         seed=seed,
+        output_dir=None,
     )
 
 

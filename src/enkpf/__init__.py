@@ -64,9 +64,11 @@ from .experiment import (
     FilterSpec,
     ObservationScheme,
     StaticPriorConfig,
+    SweepConfig,
     diversity_sweep,
     experiment_config_from_dict,
     load_experiment_config,
+    load_sweep_config,
     read_cycles_csv,
     read_matrix_csv,
     run_experiment,

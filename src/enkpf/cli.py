@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -23,11 +22,11 @@ from .experiment import (
     _fmt,
     diversity_sweep,
     load_experiment_config,
+    load_sweep_config,
     read_cycles_csv,
     read_matrix_csv,
     run_experiment,
     summarize,
-    sweep_config_from_dict,
     write_matrix_csv,
     write_summary_csv,
     write_sweep_csv,
@@ -85,10 +84,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    kwargs = sweep_config_from_dict(raw)
-    write_sweep_csv(raw.get("output") or sys.stdout, diversity_sweep(**kwargs))
+    cfg = load_sweep_config(args.config)
+    write_sweep_csv(cfg.output or sys.stdout, diversity_sweep(cfg))
     return 0
 
 

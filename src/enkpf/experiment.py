@@ -14,7 +14,7 @@ import time
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "ObservationScheme",
     "FilterSpec",
     "ExperimentConfig",
+    "SweepConfig",
     "CycleRecord",
     "CYCLES_HEADER",
     "SUMMARY_HEADER",
@@ -59,11 +60,11 @@ __all__ = [
     "write_summary_csv",
     "experiment_config_from_dict",
     "load_experiment_config",
+    "load_sweep_config",
 ]
 
 STATIC_BASE_DIM = 250
 
-CYCLES_HEADER = "cycle,time,gamma,ess_frac,div_frac,rmse,crps_1,crps_2,wall_ms"
 SUMMARY_HEADER = "score,p10,p50,mean,p90"
 
 
@@ -83,7 +84,7 @@ class StaticPriorConfig:
 
     prior: str = "gaussian"
     q: int = 50
-    y: str | tuple = "y1"
+    y: str | tuple[float, ...] = "y1"
 
     def __post_init__(self):
         if self.prior not in ("gaussian", "bimodal"):
@@ -207,6 +208,12 @@ class CycleRecord:
     wall_ms: float
 
 
+# cycles.csv: one column per CycleRecord field, in field order
+_CYCLE_TYPES = typing.get_type_hints(CycleRecord)
+CYCLES_HEADER = ",".join(_CYCLE_TYPES)
+_CYCLE_ROW = ",".join("%d" if t is int else "%.17g" for t in _CYCLE_TYPES.values()) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # scenario construction
 
@@ -296,20 +303,7 @@ class _CycleWriter:
         self._fh.flush()
 
     def write(self, rec: CycleRecord):
-        fields = [str(rec.cycle)] + [
-            _fmt(v)
-            for v in (
-                rec.time,
-                rec.gamma,
-                rec.ess_frac,
-                rec.div_frac,
-                rec.rmse,
-                rec.crps_1,
-                rec.crps_2,
-                rec.wall_ms,
-            )
-        ]
-        self._fh.write(",".join(fields) + "\n")
+        self._fh.write(_CYCLE_ROW % astuple(rec))
         self._fh.flush()
 
     def close(self):
@@ -417,43 +411,50 @@ def summarize(records) -> list[tuple[str, float, float, float, float]]:
 # single-update diversity sweep
 
 
+@dataclass(frozen=True)
+class SweepConfig:
+    """The diversity sweep: every prior, observation preset and dimension,
+    ensemble_size members, each gamma of gamma_grid. `output` is where the
+    CLI writes the table (stdout when None)."""
+
+    priors: tuple[typing.Literal["gaussian", "bimodal"], ...] = ("gaussian", "bimodal")
+    observations: tuple[typing.Literal["y1", "y2"], ...] = ("y1", "y2")
+    dims: tuple[int, ...] = (10, 50, 250)
+    ensemble_size: int = 50
+    taper: TaperSpec = TaperSpec(kind="triangular", support=10.0, topology="line")
+    gamma_grid: tuple[float, ...] = tuple(k / 20.0 for k in range(21))
+    seed: int = 0
+    raw_moment_estimates: bool = False
+    output: str | None = None
+
+
 @single_thread()
-def diversity_sweep(
-    priors=("gaussian", "bimodal"),
-    observations=("y1", "y2"),
-    dims=(10, 50, 250),
-    n_members: int = 50,
-    taper: TaperSpec = TaperSpec(kind="triangular", support=10.0, topology="line"),
-    gamma_grid=None,
-    seed: int = 0,
-    raw_moment_estimates: bool = False,
-):
+def diversity_sweep(cfg: SweepConfig = SweepConfig(), **changes):
     """ess/N of the mixture weights across gamma for the synthetic scenarios.
 
-    Returns rows (prior, y, q, gamma, ess_frac, ess_frac_approx); the
-    approximation predicts ess ~ N / (1 + N^2 Var) from the asymptotic
-    weight variance with moments estimated from the sample (tapered unless
-    raw_moment_estimates is set).
+    Keyword arguments replace fields of `cfg`. Returns rows (prior, y, q,
+    gamma, ess_frac, ess_frac_approx); the approximation predicts
+    ess ~ N / (1 + N^2 Var) from the asymptotic weight variance with moments
+    estimated from the sample (tapered unless raw_moment_estimates is set).
     """
-    if gamma_grid is None:
-        gamma_grid = tuple(k / 20.0 for k in range(21))
-    node = RngNode(seed).child("init", "ensemble")
+    cfg = replace(cfg, **changes)
+    node = RngNode(cfg.seed).child("init", "ensemble")
     rows = []
-    for prior in priors:
-        for q in dims:
+    for prior in cfg.priors:
+        for q in cfg.dims:
             # a fresh generator per scenario, so every prior and q shares one base sample
-            ens = static_prior_ensemble(prior, q, n_members, node.generator())
+            ens = static_prior_ensemble(prior, q, cfg.ensemble_size, node.generator())
             sigma2 = StaticPriorConfig.DEFAULT_SIGMA[prior] ** 2
-            tapered = tapered_covariance(ens, taper)
-            mom = sample_moments(ens) if raw_moment_estimates else tapered
-            for y_name in observations:
+            tapered = tapered_covariance(ens, cfg.taper)
+            mom = sample_moments(ens) if cfg.raw_moment_estimates else tapered
+            for y_name in cfg.observations:
                 y = static_prior_observation(prior, q, y_name)
                 obs = LinearGaussianObservation.from_indices(
                     np.arange(q), sigma2 * np.eye(q), y, q
                 )
-                for gamma in gamma_grid:
+                for gamma in cfg.gamma_grid:
                     w = _mixture_from_cov(ens.states, tapered.cov, obs, gamma).weights
-                    frac = ess(w) / n_members
+                    frac = ess(w) / cfg.ensemble_size
                     nsq_var = weight_variance_asymptotic(mom.cov, mom.mean, obs, gamma)
                     approx = 1.0 / (1.0 + nsq_var)
                     rows.append((prior, y_name, q, float(gamma), frac, approx))
@@ -515,11 +516,9 @@ def read_cycles_csv(path) -> list[CycleRecord]:
         records = []
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != 9:
+            if len(parts) != len(_CYCLE_TYPES):
                 raise ValueError(f"malformed cycles row {line!r}")
-            records.append(
-                CycleRecord(int(parts[0]), *(float(v) for v in parts[1:]))
-            )
+            records.append(CycleRecord(*(t(v) for t, v in zip(_CYCLE_TYPES.values(), parts))))
     return records
 
 
@@ -541,149 +540,127 @@ def write_sweep_csv(target, rows):
 
 # ---------------------------------------------------------------------------
 # JSON configuration
+#
+# The config dataclasses are the schema: a JSON object becomes a dataclass
+# with its fields as the only keys, and each value is read by its field's
+# annotation.
 
 _MODELS = {"lorenz96": Lorenz96Config, "kdv": KdVConfig, "static_prior": StaticPriorConfig}
 
+_UNIONS = (typing.Union, types.UnionType)
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_PLURALS = {bool: "booleans", int: "integers", float: "numbers", str: "strings"}
 
-def _keys(cls) -> set:
-    """The JSON keys of a section that maps one to one onto a dataclass."""
-    return {f.name for f in fields(cls)}
+
+def _describe(hint) -> str:
+    """What JSON a value of type `hint` takes, as error messages say it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        return " or ".join("null" if a is type(None) else _describe(a) for a in args)
+    if origin is typing.Literal:
+        return f"one of {list(args)}"
+    if origin is tuple:
+        if typing.get_origin(args[0]) is typing.Literal:
+            return f"a list drawn from {list(typing.get_args(args[0]))}"
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"a list of {count}{_PLURALS[args[0]]}"
+    if is_dataclass(hint):
+        return "a JSON object"
+    return _SCALARS[hint]
 
 
-def _reject_unknown(d, allowed, context: str):
+def _mismatch(value, hint, key: str) -> ValueError:
+    return ValueError(f"{key} must be {_describe(hint)}, got {json.dumps(value)}")
+
+
+def _reject_unknown(d, allowed, key: str):
     if not isinstance(d, dict):
-        raise ValueError(f"{context} must be a JSON object, got {json.dumps(d)}")
+        raise ValueError(f"{key} must be a JSON object, got {json.dumps(d)}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown keys in {context}: {unknown}")
+        raise ValueError(f"unknown keys in {key}: {unknown}")
 
 
-_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+def _from_json(value, hint, key: str):
+    """Parsed JSON `value` read as type `hint`; `key` names it in errors.
 
-
-def _scalar(value, kind, context: str):
-    """`value` when its JSON type is `kind`, else a ValueError naming the key
-    `context`. An integer passes as a number; true and false pass only as
-    booleans."""
-    if kind is bool:
-        fits = isinstance(value, bool)
-    else:
-        fits = isinstance(value, (int, float) if kind is float else kind)
-        fits = fits and not isinstance(value, bool)
-    if not fits:
-        raise ValueError(f"{context} must be {_SCALARS[kind]}, got {json.dumps(value)}")
-    return value
-
-
-def _check_scalars(d: dict, cls, context: str):
-    """_scalar on every key of `d` that names a bool, int, float or str field
-    of dataclass `cls`, where null also passes if the field is `X | None`.
-    Other fields are left to their own parsers."""
-    for name, hint in typing.get_type_hints(cls).items():
-        if name not in d:
-            continue
-        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-        kinds = typing.get_args(hint) if union else (hint,)
-        rest = [k for k in kinds if k is not type(None)]
-        if len(rest) != 1 or rest[0] not in _SCALARS:
-            continue
-        if d[name] is not None or len(kinds) == 1:
-            _scalar(d[name], rest[0], f"{context}.{name}")
-
-
-def _list_of(values, cast, context: str) -> tuple:
-    """A JSON array with `cast` applied to each item; `context` names the key."""
-    if isinstance(values, list):
-        try:
-            return tuple(cast(v) for v in values)
-        except (TypeError, ValueError):
-            pass
-    what = {int: "integers", float: "numbers"}[cast]
-    raise ValueError(f"{context} must be a list of {what}, got {json.dumps(values)}")
-
-
-def _choices_of(values, choices, context: str) -> tuple:
-    """A JSON array whose items all come from `choices`."""
-    if not isinstance(values, list) or any(v not in choices for v in values):
-        drawn = f"a list drawn from {list(choices)}"
-        raise ValueError(f"{context} must be {drawn}, got {json.dumps(values)}")
-    return tuple(values)
-
-
-def _model_from_dict(d: dict):
-    # keys of any model first, which also checks that the section is an object
-    _reject_unknown(d, {"kind"}.union(*map(_keys, _MODELS.values())), "model")
-    cls = _MODELS.get(d.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown model kind {d.get('kind')!r}")
-    _reject_unknown(d, {"kind"} | _keys(cls), "model")
-    _check_scalars(d, cls, "model")
-    return cls(**{k: v for k, v in d.items() if k != "kind"})
-
-
-def _policy_from_dict(d: dict) -> GammaPolicy:
-    _reject_unknown(d, _keys(GammaPolicy), "filter.policy")
-    _check_scalars(d, GammaPolicy, "filter.policy")
-    body = dict(d)
-    for key in ("band", "grid"):
-        if key in body:
-            body[key] = _list_of(body[key], float, f"filter.policy.{key}")
-    return GammaPolicy(**body)
-
-
-def _filter_from_dict(d: dict) -> FilterSpec:
-    _reject_unknown(d, _keys(FilterSpec), "filter")
-    _check_scalars(d, FilterSpec, "filter")
-    policy = _policy_from_dict(d["policy"]) if d.get("policy") is not None else None
-    return FilterSpec(kind=d.get("kind", "enkpf"), policy=policy)
-
-
-def _observation_from_dict(d: dict) -> ObservationScheme:
-    _reject_unknown(d, {"components", "noise_variance", "schedule"}, "observation")
-    if "noise_variance" not in d:
-        raise ValueError("observation requires the 'noise_variance' key")
-    _check_scalars(d, ObservationScheme, "observation")
-    comps = d.get("components")
-    if comps == "all":
-        comps = None
-    elif comps is not None:
-        comps = _list_of(comps, int, "observation.components")
-    interval = None
-    if d.get("schedule") is not None:
-        _reject_unknown(d["schedule"], {"interval"}, "observation.schedule")
-        _check_scalars(d["schedule"], ObservationScheme, "observation.schedule")
-        interval = d["schedule"].get("interval")
-    return ObservationScheme(
-        components=comps,
-        noise_variance=float(d["noise_variance"]),
-        interval=interval,
-    )
-
-
-def _taper_from_dict(d: dict) -> TaperSpec:
-    _reject_unknown(d, _keys(TaperSpec), "taper")
-    _check_scalars(d, TaperSpec, "taper")
-    return TaperSpec(**d)
+    A dataclass takes an object whose keys are its field names (absent
+    fields keep their defaults), `X | None` also takes null, a union of
+    model configs picks the class by the object's `kind`, any other union
+    takes the first alternative that reads, `tuple[T, ...]` takes an array
+    of T and `tuple[T, T]` an array of exactly two, a Literal one of its
+    values, and bool, int, float and str their own JSON type, where an
+    integer also passes as a number and true and false only as booleans.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        alternatives = [a for a in args if a is not type(None)]
+        if value is None and len(alternatives) < len(args):
+            return None
+        if len(alternatives) == 1:
+            return _from_json(value, alternatives[0], key)
+        if all(map(is_dataclass, alternatives)):
+            # the model section, whose class is named by its kind
+            if not isinstance(value, dict):
+                raise _mismatch(value, alternatives[0], key)
+            kind = _from_json(value.get("kind"), typing.Literal[tuple(_MODELS)], f"{key}.kind")
+            return _from_json({k: v for k, v in value.items() if k != "kind"}, _MODELS[kind], key)
+        for alternative in alternatives:
+            try:
+                return _from_json(value, alternative, key)
+            except ValueError:
+                pass
+        raise _mismatch(value, hint, key)
+    if is_dataclass(hint):
+        _reject_unknown(value, {f.name for f in fields(hint)}, key)
+        hints = typing.get_type_hints(hint)
+        for f in fields(hint):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{key} requires the {f.name!r} key")
+        return hint(**{k: _from_json(v, hints[k], f"{key}.{k}") for k, v in value.items()})
+    if origin is tuple:
+        if isinstance(value, list):
+            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+            try:
+                if len(kinds) == len(value):
+                    return tuple(_from_json(v, kind, key) for v, kind in zip(value, kinds))
+            except ValueError:
+                pass
+    elif origin is typing.Literal:
+        if value in args:
+            return value
+    elif isinstance(value, (int, float) if hint is float else hint):
+        if isinstance(value, bool) == (hint is bool):  # true and false are only booleans
+            return float(value) if hint is float else value
+    raise _mismatch(value, hint, key)
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    """Strict parse of the run-configuration schema; unknown keys error out."""
-    _reject_unknown(d, _keys(ExperimentConfig), "config")
-    _check_scalars(d, ExperimentConfig, "config")
-    for key in ("model", "observation"):
-        if key not in d:
-            raise ValueError(f"config requires the {key!r} section")
-    return ExperimentConfig(
-        model=_model_from_dict(d["model"]),
-        filter=_filter_from_dict(d.get("filter", {"kind": "enkpf"})),
-        ensemble_size=d.get("ensemble_size", 100),
-        cycles=d.get("cycles", 1),
-        observation=_observation_from_dict(d["observation"]),
-        taper=_taper_from_dict(d.get("taper", {})),
-        seed=d.get("seed", 0),
-        output_dir=d.get("output_dir"),
-        record_timing=d.get("record_timing", False),
-    )
+    """Strict parse of the run-configuration schema; unknown keys error out.
+
+    The observation section differs from ObservationScheme in three ways:
+    it is required and so is its noise_variance, components "all" stands
+    for null, and the field interval is written schedule.interval.
+    """
+    if not isinstance(d, dict):
+        raise _mismatch(d, ExperimentConfig, "config")
+    if "observation" not in d:
+        raise ValueError("config requires the 'observation' key")
+    obs = d["observation"]
+    _reject_unknown(obs, {"components", "noise_variance", "schedule"}, "config.observation")
+    if "noise_variance" not in obs:
+        raise ValueError("config.observation requires the 'noise_variance' key")
+    obs = {k: v for k, v in obs.items() if k != "schedule"}
+    if obs.get("components") == "all":
+        obs["components"] = None
+    schedule = d["observation"].get("schedule")
+    if schedule is not None:
+        key = "config.observation.schedule"
+        _reject_unknown(schedule, {"interval"}, key)
+        if "interval" in schedule:
+            hint = typing.get_type_hints(ObservationScheme)["interval"]
+            obs["interval"] = _from_json(schedule["interval"], hint, f"{key}.interval")
+    return _from_json({**d, "observation": obs}, ExperimentConfig, "config")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -691,37 +668,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         return experiment_config_from_dict(json.load(fh))
 
 
-def sweep_config_from_dict(d: dict) -> dict:
-    """Strict parse of the diversity-sweep schema into diversity_sweep kwargs."""
-    allowed = {
-        "priors",
-        "observations",
-        "dims",
-        "ensemble_size",
-        "taper",
-        "gamma_grid",
-        "seed",
-        "raw_moment_estimates",
-        "output",
-    }
-    _reject_unknown(d, allowed, "sweep config")
-    kwargs = {}
-    for key, choices in (("priors", ("gaussian", "bimodal")), ("observations", ("y1", "y2"))):
-        if key in d:
-            kwargs[key] = _choices_of(d[key], choices, f"sweep config {key!r}")
-    if "dims" in d:
-        kwargs["dims"] = _list_of(d["dims"], int, "sweep config 'dims'")
-    if "ensemble_size" in d:
-        kwargs["n_members"] = _scalar(d["ensemble_size"], int, "sweep config 'ensemble_size'")
-    if "taper" in d:
-        kwargs["taper"] = _taper_from_dict(d["taper"])
-    if "gamma_grid" in d:
-        kwargs["gamma_grid"] = _list_of(d["gamma_grid"], float, "sweep config 'gamma_grid'")
-    if "seed" in d:
-        kwargs["seed"] = _scalar(d["seed"], int, "sweep config 'seed'")
-    if "raw_moment_estimates" in d:
-        context = "sweep config 'raw_moment_estimates'"
-        kwargs["raw_moment_estimates"] = _scalar(d["raw_moment_estimates"], bool, context)
-    if d.get("output") is not None:
-        _scalar(d["output"], str, "sweep config 'output'")
-    return kwargs
+def load_sweep_config(path) -> SweepConfig:
+    """Strict parse of a diversity-sweep configuration file."""
+    with open(path) as fh:
+        return _from_json(json.load(fh), SweepConfig, "sweep")

@@ -251,10 +251,14 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         ("run", {**_RUN_BASE, "model": "lorenz96"}, 'model must be a JSON object, got "lorenz96"'),
         ("run", {**_RUN_BASE, "model": None}, "model must be a JSON object, got null"),
         ("run", {**_RUN_BASE, "observation": {"components": [1]}}, "'noise_variance'"),
-        ("sweep", {**_SWEEP_BASE, "dims": "abc"}, "'dims' must be a list of integers"),
-        ("sweep", {**_SWEEP_BASE, "priors": "gaussian"}, "'priors' must be a list drawn from"),
-        ("sweep", {**_SWEEP_BASE, "priors": ["foo"]}, "'priors' must be a list drawn from"),
-        ("sweep", {**_SWEEP_BASE, "observations": ["y9"]}, "'observations' must be a list"),
+        ("sweep", {**_SWEEP_BASE, "dims": "abc"},
+         'sweep.dims must be a list of integers, got "abc"'),
+        ("sweep", {**_SWEEP_BASE, "priors": "gaussian"},
+         "sweep.priors must be a list drawn from ['gaussian', 'bimodal'], got \"gaussian\""),
+        ("sweep", {**_SWEEP_BASE, "priors": ["foo"]},
+         "sweep.priors must be a list drawn from ['gaussian', 'bimodal'], got [\"foo\"]"),
+        ("sweep", {**_SWEEP_BASE, "observations": ["y9"]},
+         "sweep.observations must be a list drawn from ['y1', 'y2'], got [\"y9\"]"),
         ("run", {**_RUN_BASE, "model": {"kind": "lorenz96", "q": "x"}},
          'model.q must be an integer, got "x"'),
         ("run", {**_RUN_BASE, "taper": {"kind": "gaspari_cohn", "support": "x"}},
@@ -262,8 +266,17 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         ("run", {**_RUN_BASE, "observation": {"noise_variance": 0.5, "schedule": {"interval": "x"}}},
          'observation.schedule.interval must be a number, got "x"'),
         ("run", {**_RUN_BASE, "ensemble_size": "x"}, 'config.ensemble_size must be an integer'),
-        ("sweep", {**_SWEEP_BASE, "ensemble_size": "x"}, "'ensemble_size' must be an integer"),
-        ("sweep", {**_SWEEP_BASE, "output": 5}, "'output' must be a string, got 5"),
+        ("sweep", {**_SWEEP_BASE, "ensemble_size": "x"},
+         'sweep.ensemble_size must be an integer, got "x"'),
+        ("sweep", {**_SWEEP_BASE, "output": 5}, "sweep.output must be a string, got 5"),
+        ("run", {**_RUN_BASE, "model": {"kind": "static_prior", "q": 3, "y": 5}},
+         "model.y must be a string or a list of numbers, got 5"),
+        ("run", {**_RUN_BASE, "observation": {"components": [1.7], "noise_variance": 0.5}},
+         "observation.components must be a list of integers, got [1.7]"),
+        ("sweep", {**_SWEEP_BASE, "dims": [1.5]},
+         "sweep.dims must be a list of integers, got [1.5]"),
+        ("run", {**_RUN_BASE, "filter": {"policy": {"band": [0.1, 0.2, 0.3]}}},
+         "filter.policy.band must be a list of 2 numbers, got [0.1, 0.2, 0.3]"),
     ],
     ids=[
         "filter_string",
@@ -280,6 +293,10 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         "ensemble_size_string",
         "sweep_ensemble_size_string",
         "sweep_output_number",
+        "static_prior_y_number",
+        "components_fractional",
+        "sweep_dims_fractional",
+        "band_three_values",
     ],
 )
 def test_console_script_names_bad_config_key(tmp_path, capsys, command, payload, expected):

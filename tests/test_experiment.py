@@ -1,5 +1,9 @@
+import dataclasses
 import io
 import json
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from enkpf import (
     Lorenz96Config,
     ObservationScheme,
     StaticPriorConfig,
+    SweepConfig,
     experiment_config_from_dict,
     load_experiment_config,
+    load_sweep_config,
     read_cycles_csv,
     read_matrix_csv,
     run_experiment,
@@ -24,7 +30,9 @@ from enkpf import (
     summarize,
     write_matrix_csv,
 )
-from enkpf.experiment import _fmt
+from enkpf.experiment import _MODELS, _fmt
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_static_prior_uses_one_base_sample():
@@ -276,3 +284,48 @@ def test_load_config_file(tmp_path):
     assert cfg.filter.kind == "pf"
     records, _ = run_experiment(cfg)
     assert records[0].gamma == 0.0
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_parse(path):
+    if path.stem == "sweep":
+        assert load_sweep_config(path).output == "runs/diversity_sweep.csv"
+    else:
+        assert load_experiment_config(path).output_dir == f"runs/{path.stem}"
+
+
+def _readable(hint) -> bool:
+    """Whether the config reader has a rule for `hint`; the fields of a
+    dataclass are checked on their own."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        alternatives = [a for a in args if a is not type(None)]
+        if len(alternatives) > 1 and all(map(dataclasses.is_dataclass, alternatives)):
+            return set(alternatives) == set(_MODELS.values())  # read by kind
+        return all(map(_readable, alternatives))
+    if origin is tuple:
+        items = set(args[:-1] if args[-1] is Ellipsis else args)
+        (item,) = items if len(items) == 1 else (None,)
+        return item in (bool, int, float, str) or typing.get_origin(item) is typing.Literal
+    if origin is typing.Literal:
+        return all(isinstance(a, str) for a in args)
+    return dataclasses.is_dataclass(hint) or hint in (bool, int, float, str)
+
+
+def test_config_reader_handles_every_field_type():
+    unreadable = []
+    pending, seen = [ExperimentConfig, SweepConfig], set()
+    while pending:
+        cls = pending.pop()
+        seen.add(cls)
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            if not _readable(hint):
+                unreadable.append(f"{cls.__name__}.{f.name}: {hint}")
+            inner = typing.get_args(hint) or (hint,)
+            pending += [t for t in inner if dataclasses.is_dataclass(t) and t not in seen]
+    assert seen >= {FilterSpec, GammaPolicy, Lorenz96Config, StaticPriorConfig, ObservationScheme}
+    assert unreadable == []
+    # the walk is not vacuous: types without a reader rule are caught
+    assert not any(map(_readable, (list[int], dict, tuple[int, float], tuple[FilterSpec, ...])))
