@@ -347,8 +347,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
                 y = static_prior_observation(cfg.model.prior, q, cfg.model.y)[idx]
                 t = 0.0
             else:
-                ens = propagate(ens, interval)
-                truth = propagate(truth, interval)
+                # the truth advances as column N+1 of the ensemble matrix: one
+                # propagator call, whose divergence check covers both
+                stacked = propagate(np.column_stack((ens.states, truth)), interval)
+                ens, truth = Ensemble(stacked[:, :n_members]), stacked[:, n_members]
                 noise = root.child("cycle", cycle, "obs").generator().standard_normal(r)
                 y = truth[idx] + noise_std * noise
                 t = cycle * interval
@@ -631,7 +633,10 @@ def _from_json(value, hint, key: str):
             return value
     elif isinstance(value, (int, float) if hint is float else hint):
         if isinstance(value, bool) == (hint is bool):  # true and false are only booleans
-            return float(value) if hint is float else value
+            try:
+                return float(value) if hint is float else value
+            except OverflowError:  # an integer too large for a float is no number
+                pass
     raise _mismatch(value, hint, key)
 
 

@@ -114,21 +114,25 @@ def lorenz96_propagate(state, cfg: Lorenz96Config, duration: float | None = None
     if x.shape[0] != q:
         raise ValueError(f"state dimension {x.shape[0]} != configured q {q}")
     steps = _step_count(cfg.lead_time if duration is None else duration, cfg.dt)
-    dt, forcing = cfg.dt, cfg.forcing
+    dt, forcing = np.float64(cfg.dt), np.float64(cfg.forcing)
     pad = np.empty((q + 3, x.shape[1]))
     body = pad[2 : q + 2]
     body[...] = x
     ahead, back2, back1 = pad[3 : q + 3], pad[0:q], pad[1 : q + 1]
+    low_wrap, low_source, high_wrap, high_source = pad[0:2], pad[q : q + 2], pad[q + 2], pad[2]
     d = np.empty_like(body)
+    # a step is eight calls on small arrays, where per-call dispatch weighs:
+    # bind the functions once and pass `out` positionally
+    copyto, subtract, multiply, add = np.copyto, np.subtract, np.multiply, np.add
     for _ in range(steps):
-        pad[0:2] = pad[q : q + 2]
-        pad[q + 2] = pad[2]
-        np.subtract(ahead, back2, out=d)
-        np.multiply(d, back1, out=d)
-        np.subtract(d, body, out=d)
-        np.add(d, forcing, out=d)
-        np.multiply(dt, d, out=d)
-        np.add(body, d, out=body)
+        copyto(low_wrap, low_source)
+        copyto(high_wrap, high_source)
+        subtract(ahead, back2, d)
+        multiply(d, back1, d)
+        subtract(d, body, d)
+        add(d, forcing, d)
+        multiply(dt, d, d)
+        add(body, d, body)
     if not np.all(np.isfinite(body)):
         raise DivergenceError("lorenz96 state became non-finite")
     return _wrap(body, form)

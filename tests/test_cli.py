@@ -277,6 +277,8 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
          "sweep.dims must be a list of integers, got [1.5]"),
         ("run", {**_RUN_BASE, "filter": {"policy": {"band": [0.1, 0.2, 0.3]}}},
          "filter.policy.band must be a list of 2 numbers, got [0.1, 0.2, 0.3]"),
+        ("run", {**_RUN_BASE, "observation": {"noise_variance": 10**400}},
+         "config.observation.noise_variance must be a number, got 1000"),
     ],
     ids=[
         "filter_string",
@@ -297,6 +299,7 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         "components_fractional",
         "sweep_dims_fractional",
         "band_three_values",
+        "noise_variance_overflow",
     ],
 )
 def test_console_script_names_bad_config_key(tmp_path, capsys, command, payload, expected):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import enkpf.experiment
 from enkpf import (
     CYCLES_HEADER,
     CycleRecord,
@@ -15,6 +16,7 @@ from enkpf import (
     ExperimentConfig,
     FilterSpec,
     GammaPolicy,
+    KdVConfig,
     Lorenz96Config,
     ObservationScheme,
     StaticPriorConfig,
@@ -171,6 +173,67 @@ def test_divergence_leaves_valid_prefix(tmp_path):
     assert text.endswith("\n")  # flushed per cycle: no torn final row
     parsed = read_cycles_csv(tmp_path / "boom" / "cycles.csv")
     assert len(parsed) == len(lines) - 1 < 50
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        (Lorenz96Config(q=8, lead_time=0.05), "lorenz96_propagate"),
+        (KdVConfig(grid_points=32, lead_time=0.001), "kdv_propagate"),
+    ],
+    ids=["lorenz96", "kdv"],
+)
+def test_one_propagation_per_cycle(monkeypatch, model, name):
+    # the truth rides as column N+1 of the ensemble matrix
+    widths = []
+    propagate = getattr(enkpf.experiment, name)
+
+    def counted(state, *args):
+        widths.append(np.shape(state)[1])
+        return propagate(state, *args)
+
+    monkeypatch.setattr(enkpf.experiment, name, counted)
+    cfg = ExperimentConfig(
+        model=model,
+        filter=FilterSpec(kind="enkf"),
+        ensemble_size=12,
+        cycles=3,
+        observation=ObservationScheme(components=(1, 4, 7), noise_variance=0.5),
+        seed=5,
+    )
+    records, finals = run_experiment(cfg)
+    assert widths == [13] * 3
+    assert finals["analysis"].n_members == 12
+    assert finals["truth"].shape == (cfg.state_dim,)
+
+
+def test_truth_divergence_leaves_valid_prefix(tmp_path, monkeypatch):
+    # only the truth blows up: the one finiteness check of the stacked
+    # propagation must still end the run
+    initial_states = enkpf.experiment._initial_states
+
+    def blown_truth(cfg, root):
+        ens, truth = initial_states(cfg, root)
+        return ens, 1e100 * truth
+
+    monkeypatch.setattr(enkpf.experiment, "_initial_states", blown_truth)
+    cfg = ExperimentConfig(
+        model=Lorenz96Config(q=8, lead_time=0.05),
+        filter=FilterSpec(kind="enkf"),
+        ensemble_size=10,
+        cycles=5,
+        observation=ObservationScheme(noise_variance=0.5),
+        seed=1,
+        output_dir=str(tmp_path / "boom"),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="lorenz96 state became non-finite"):
+            run_experiment(cfg)
+    text = (tmp_path / "boom" / "cycles.csv").read_text()
+    lines = text.splitlines()
+    assert lines[0] == CYCLES_HEADER
+    assert text.endswith("\n")
+    assert len(read_cycles_csv(tmp_path / "boom" / "cycles.csv")) == len(lines) - 1 < 5
 
 
 def test_summarize_constant_scores():

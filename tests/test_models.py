@@ -58,6 +58,17 @@ def test_propagate_matches_per_column():
         assert np.array_equal(joint[:, j], single)
 
 
+def test_stacked_truth_matches_separate_calls_at_benchmark_shape():
+    # the cycling loop advances [ensemble | truth] in one call; at the paper's
+    # main shape (q = 40, N = 400) each column must equal its own run
+    cfg = Lorenz96Config()
+    gen = np.random.default_rng(6)
+    ens, truth = lorenz96_initial(gen, 400), gen.standard_normal(40)
+    joint = lorenz96_propagate(np.column_stack((ens.states, truth)), cfg)
+    assert np.array_equal(joint[:, :400], lorenz96_propagate(ens, cfg).states)
+    assert np.array_equal(joint[:, 400], lorenz96_propagate(truth, cfg))
+
+
 def _euler_reference(x, cfg, steps):
     for _ in range(steps):
         x = x + cfg.dt * lorenz96_drift(x, cfg.forcing)
@@ -184,6 +195,17 @@ def test_kdv_dealias_zeroes_top_modes():
     loud = kdv_propagate(x, KdVConfig(dealias=False), 0.01)
     loud_spec = np.abs(np.fft.rfft(loud))
     assert loud_spec[cutoff + 1 :].max() > spec[cutoff + 1 :].max()
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_kdv_stacked_truth_matches_separate_calls(dealias):
+    # the FFTs and RK4 stages act column by column, so stacking the truth
+    # onto the ensemble changes no bit of either
+    cfg = KdVConfig(grid_points=128, dealias=dealias)
+    ens, truth = kdv_initial(cfg, 16), kdv_truth(cfg)
+    joint = kdv_propagate(np.column_stack((ens.states, truth)), cfg)
+    assert np.array_equal(joint[:, :16], kdv_propagate(ens, cfg).states)
+    assert np.array_equal(joint[:, 16], kdv_propagate(truth, cfg))
 
 
 def test_kdv_soliton_transport():
