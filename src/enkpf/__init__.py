@@ -24,7 +24,6 @@ from .gamma import (
     DEFAULT_GAMMA_GRID,
     GammaPolicy,
     select_gamma,
-    spread_criterion,
     weight_variance_asymptotic,
     weight_variance_exact,
 )

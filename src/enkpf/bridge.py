@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .ensemble import Ensemble, TaperSpec, tapered_covariance
 from .filters import UpdateDiagnostics
-from .gamma import GammaPolicy, select_gamma
+from .gamma import MEASURES, GammaPolicy, select_gamma
 from .mixture import _mixture_from_cov, sample_update
 from .observation import LinearGaussianObservation
 from .resampling import div, ess
@@ -23,20 +23,20 @@ def enkpf_update(
     """One full bridged analysis step.
 
     gamma comes from the policy (fixed or adaptively selected on its grid);
-    the probe evaluations and the final sampling share the same noise
-    streams, so the realized update matches what the probes measured.
+    the probes measure the weights of the mixture that is then sampled (the
+    chosen probe's own build; fixed mode and the fallback to 1 build it here).
     Returns (analysis ensemble, diagnostics).
     """
     cov = tapered_covariance(ens, taper).cov
-    gamma, probes, mix = select_gamma(ens, obs, policy, taper, rng=rng, cov=cov)
+    gamma, probes, mix = select_gamma(ens, obs, policy, cov)
     if mix is None:  # fixed mode, or no probe qualified and gamma fell back to 1
         mix = _mixture_from_cov(ens.states, cov, obs, gamma)
     out = sample_update(mix, obs, rng)
     e = ess(mix.weights)
     d = div(mix.weights)
     n = ens.n_members
-    measure = d if policy.mode == "adaptive_div" else e
-    exceeded = policy.mode != "fixed" and measure > policy.band[1] * n
+    measure = MEASURES.get(policy.mode)  # None in fixed mode
+    exceeded = measure is not None and measure(mix.weights) > policy.band[1] * n
     return out, UpdateDiagnostics(
         gamma=gamma, ess=e, div=d, probes=probes or None, band_exceeded=bool(exceeded)
     )

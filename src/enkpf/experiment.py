@@ -10,6 +10,7 @@ cycle; an aborted run leaves a valid prefix on disk.
 from __future__ import annotations
 
 import json
+import sys
 import time
 import types
 import typing
@@ -592,7 +593,8 @@ def _from_json(value, hint, key: str):
     takes the first alternative that reads, `tuple[T, ...]` takes an array
     of T and `tuple[T, T]` an array of exactly two, a Literal one of its
     values, and bool, int, float and str their own JSON type, where an
-    integer also passes as a number and true and false only as booleans.
+    integer also passes as a number, a number must be finite, and true and
+    false pass only as booleans.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in _UNIONS:
@@ -633,10 +635,8 @@ def _from_json(value, hint, key: str):
             return value
     elif isinstance(value, (int, float) if hint is float else hint):
         if isinstance(value, bool) == (hint is bool):  # true and false are only booleans
-            try:
+            if hint is not float or abs(value) <= sys.float_info.max:  # NaN, inf and 10**400 fail
                 return float(value) if hint is float else value
-            except OverflowError:  # an integer too large for a float is no number
-                pass
     raise _mismatch(value, hint, key)
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ensemble import Ensemble, TaperSpec, tapered_covariance
 from .mixture import _mixture_from_cov, sample_update
 from .observation import LinearGaussianObservation, kalman_gain
@@ -39,22 +37,15 @@ def pf_update(ens: Ensemble, obs: LinearGaussianObservation, rng: RngNode):
 
 
 def enkf_update(
-    ens: Ensemble,
-    obs: LinearGaussianObservation,
-    taper: TaperSpec,
-    rng: RngNode,
-    cov: np.ndarray | None = None,
+    ens: Ensemble, obs: LinearGaussianObservation, taper: TaperSpec, rng: RngNode
 ) -> Ensemble:
     """Stochastic (perturbed-observations) Kalman update with tapered covariance.
 
     Each member moves by K (y - H x_j + eps_j) with eps_j ~ N(0, R) drawn
     from the "eps1" child stream of `rng`, the stream the bridged update's
-    stage-one noise uses. `cov` is the tapered forecast covariance when the
-    caller has it already; otherwise it is computed here.
+    stage-one noise uses.
     """
-    if cov is None:
-        cov = tapered_covariance(ens, taper).cov
-    gain = kalman_gain(cov, obs)
+    gain = kalman_gain(tapered_covariance(ens, taper).cov, obs)
     eps = obs.draw_noise(rng.child("eps1").generator(), ens.n_members)
     innov = obs.y[:, None] - obs.apply_h(ens.states) + eps
     return Ensemble(ens.states + gain @ innov)

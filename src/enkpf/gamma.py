@@ -2,9 +2,8 @@
 
 The adaptive rule picks the smallest gamma on a fixed grid whose update keeps
 enough weight diversity, assuming diversity grows with gamma. Diversity is
-measured by ess or div of the mixture weights (deterministic given the
-forecast), or by a spread ratio against a Kalman reference update sharing
-the same noise streams.
+measured by ess or div of the mixture weights, deterministic given the
+forecast.
 
 weight_variance_exact gives N^2 Var of a normalized mixture weight under a
 Gaussian forecast with known moments; weight_variance_asymptotic is its
@@ -15,29 +14,30 @@ predictions via ess ~ N / (1 + N^2 Var).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .ensemble import Ensemble, TaperSpec, tapered_covariance
-from .filters import enkf_update
-from .mixture import _mixture_from_cov, _tempered_stage, sample_update
+from .ensemble import Ensemble
+from .mixture import _mixture_from_cov, _tempered_stage
 from .observation import LinearGaussianObservation, kalman_gain
 from .resampling import div, ess
-from .rng import RngNode
 
 __all__ = [
     "GammaPolicy",
     "DEFAULT_GAMMA_GRID",
     "select_gamma",
-    "spread_criterion",
     "weight_variance_exact",
     "weight_variance_asymptotic",
 ]
 
 DEFAULT_GAMMA_GRID = tuple(k / 15.0 for k in range(16))
 
-_MODES = ("fixed", "adaptive_ess", "adaptive_div", "adaptive_spread")
+Mode = Literal["fixed", "adaptive_ess", "adaptive_div"]
+
+# the diversity measure of each adaptive mode, in effective members
+MEASURES = {"adaptive_ess": ess, "adaptive_div": div}
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,20 @@ class GammaPolicy:
     band[1] is an advisory upper edge, only reported when exceeded.
     """
 
-    mode: str = "adaptive_ess"
+    mode: Mode = "adaptive_ess"
     gamma: float | None = None
     band: tuple[float, float] = (0.25, 0.5)
     grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     max_probes: int = 4
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in get_args(Mode):
             raise ValueError(f"unknown gamma policy mode {self.mode!r}")
         if self.mode == "fixed":
             if self.gamma is None or not 0.0 <= self.gamma <= 1.0:
                 raise ValueError("fixed mode needs gamma in [0, 1]")
-        if not 0.0 <= self.band[0] <= self.band[1] <= 1.0:
-            raise ValueError("band must satisfy 0 <= low <= high <= 1")
+        if len(self.band) != 2 or not 0.0 <= self.band[0] <= self.band[1] <= 1.0:
+            raise ValueError("band must be (low, high) with 0 <= low <= high <= 1")
         grid = tuple(float(g) for g in self.grid)
         if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0 or list(grid) != sorted(grid):
             raise ValueError("grid must be ascending and span 0 to 1")
@@ -80,37 +80,27 @@ def select_gamma(
     ens: Ensemble,
     obs: LinearGaussianObservation,
     policy: GammaPolicy,
-    taper: TaperSpec,
-    rng: RngNode | None = None,
-    cov: np.ndarray | None = None,
+    cov: np.ndarray,
 ):
     """Binary-search the policy grid for the smallest acceptable gamma.
 
-    Returns (gamma, probes, mixture): probes lists each evaluated (gamma,
-    diversity fraction) pair, and mixture is the probe's own build at the
-    returned gamma. If no probed value reaches the lower band edge, falls
-    back to gamma = 1; that and fixed mode return mixture None. Assumes the
-    diversity fraction is nondecreasing in gamma.
+    `cov` is the tapered forecast covariance. Returns (gamma, probes,
+    mixture): probes lists each evaluated (gamma, diversity fraction) pair,
+    and mixture is the probe's own build at the returned gamma. If no probed
+    value reaches the lower band edge, falls back to gamma = 1; that and
+    fixed mode return mixture None. Assumes the diversity fraction is
+    nondecreasing in gamma.
     """
     if policy.mode == "fixed":
         return float(policy.gamma), (), None
-    if cov is None:
-        cov = tapered_covariance(ens, taper).cov
-    if policy.mode == "adaptive_spread":
-        if rng is None:
-            raise ValueError("spread-based selection needs an rng node")
-        reference = enkf_update(ens, obs, taper, rng, cov=cov)  # independent of gamma
-    measure = ess if policy.mode == "adaptive_ess" else div
+    measure = MEASURES[policy.mode]
     grid, tau0 = policy.grid, policy.band[0]
     lo, hi = 0, len(grid) - 1
     probes, chosen = [], (float(grid[-1]), None)
     while lo < hi and len(probes) < policy.max_probes:
         mid = (lo + hi) // 2
         mix = _mixture_from_cov(ens.states, cov, obs, grid[mid])
-        if policy.mode == "adaptive_spread":
-            frac = _spread_ratio(sample_update(mix, obs, rng), reference)
-        else:
-            frac = measure(mix.weights) / ens.n_members
+        frac = measure(mix.weights) / ens.n_members
         probes.append((grid[mid], frac))
         if frac >= tau0:
             # later probes all lie left of this one, so the last to qualify is the smallest
@@ -118,36 +108,6 @@ def select_gamma(
         else:
             lo = mid + 1
     return chosen[0], tuple(probes), chosen[1]
-
-
-def _spread_ratio(bridged: Ensemble, reference: Ensemble) -> float:
-    s_b = bridged.states.std(axis=1, ddof=1)
-    s_r = reference.states.std(axis=1, ddof=1)
-    ratio = np.ones(s_r.shape)
-    live = s_r > 0.0
-    ratio[live] = np.minimum(1.0, s_b[live] / s_r[live])
-    return float(ratio.mean())
-
-
-def spread_criterion(
-    ens: Ensemble,
-    obs: LinearGaussianObservation,
-    gamma: float,
-    taper: TaperSpec,
-    rng: RngNode,
-    cov: np.ndarray | None = None,
-) -> float:
-    """Mean per-component ratio of bridged to Kalman analysis spread, capped at 1.
-
-    Both updates consume the same noise streams of `rng`, so the score is a
-    function of gamma alone for a given forecast; at gamma = 1 it is 1 up to
-    rounding. Components where the Kalman reference has zero spread count
-    as ratio 1.
-    """
-    if cov is None:
-        cov = tapered_covariance(ens, taper).cov
-    bridged = sample_update(_mixture_from_cov(ens.states, cov, obs, gamma), obs, rng)
-    return _spread_ratio(bridged, enkf_update(ens, obs, taper, rng, cov=cov))
 
 
 def _weight_quadratic(cov, mean, obs, gamma):

@@ -279,6 +279,13 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
          "filter.policy.band must be a list of 2 numbers, got [0.1, 0.2, 0.3]"),
         ("run", {**_RUN_BASE, "observation": {"noise_variance": 10**400}},
          "config.observation.noise_variance must be a number, got 1000"),
+        ("run", {**_RUN_BASE, "observation": {"noise_variance": float("inf")}},
+         "config.observation.noise_variance must be a number, got Infinity"),
+        ("run", {**_RUN_BASE, "model": {"kind": "lorenz96", "forcing": float("nan")}},
+         "config.model.forcing must be a number, got NaN"),
+        ("run", {**_RUN_BASE, "filter": {"kind": "enkpf", "policy": {"mode": "adaptive_spread"}}},
+         "config.filter.policy.mode must be one of ['fixed', 'adaptive_ess', 'adaptive_div'], "
+         'got "adaptive_spread"'),
     ],
     ids=[
         "filter_string",
@@ -300,6 +307,9 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         "sweep_dims_fractional",
         "band_three_values",
         "noise_variance_overflow",
+        "noise_variance_infinite",
+        "forcing_nan",
+        "policy_mode_removed",
     ],
 )
 def test_console_script_names_bad_config_key(tmp_path, capsys, command, payload, expected):

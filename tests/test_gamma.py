@@ -13,10 +13,11 @@ from enkpf import (
     NO_TAPER,
     RngNode,
     build_mixture,
+    div,
     enkpf_update,
     ess,
     select_gamma,
-    spread_criterion,
+    tapered_covariance,
     weight_variance_asymptotic,
     weight_variance_exact,
 )
@@ -25,6 +26,10 @@ from enkpf import (
 def scalar_obs(y, r_var, state_dim=1):
     return LinearGaussianObservation.from_indices([0], np.array([[r_var]]),
                                                   np.array([y]), state_dim)
+
+
+def untapered_cov(ens):
+    return tapered_covariance(ens, NO_TAPER).cov
 
 
 def test_default_grid():
@@ -44,6 +49,8 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         GammaPolicy(band=(0.6, 0.4))
     with pytest.raises(ValueError):
+        GammaPolicy(band=(0.1, 0.2, 0.3))
+    with pytest.raises(ValueError):
         GammaPolicy(grid=(0.0, 0.5))  # must end at 1
     with pytest.raises(ValueError):
         GammaPolicy(max_probes=0)
@@ -52,7 +59,8 @@ def test_policy_validation():
 
 def test_fixed_mode_probes_nothing():
     ens = Ensemble(np.array([[0.0, 1.0, 2.0]]))
-    gamma, probes, mix = select_gamma(ens, scalar_obs(0.0, 1.0), GammaPolicy.fixed(0.3), NO_TAPER)
+    policy = GammaPolicy.fixed(0.3)
+    gamma, probes, mix = select_gamma(ens, scalar_obs(0.0, 1.0), policy, untapered_cov(ens))
     assert gamma == 0.3
     assert probes == ()
     assert mix is None
@@ -60,14 +68,13 @@ def test_fixed_mode_probes_nothing():
 
 def test_selection_respects_probe_budget_and_band():
     gen = np.random.default_rng(0)
-    node = RngNode(5)
     for trial in range(25):
         q = int(gen.integers(1, 6))
         n = int(gen.integers(5, 60))
         ens = Ensemble(gen.standard_normal((q, n)) * gen.uniform(0.5, 2.0))
         obs = scalar_obs(float(gen.normal(0, 2)), float(gen.uniform(0.05, 1.0)), q)
         policy = GammaPolicy(mode="adaptive_ess", band=(0.4, 0.7))
-        gamma, probes, mix = select_gamma(ens, obs, policy, NO_TAPER, rng=node.child(trial))
+        gamma, probes, mix = select_gamma(ens, obs, policy, untapered_cov(ens))
         assert len(probes) <= policy.max_probes
         assert all(g in policy.grid for g, _ in probes)
         qualifying = [g for g, frac in probes if frac >= 0.4]
@@ -91,7 +98,7 @@ def test_selection_descends_to_small_gamma_when_diverse():
     gen = np.random.default_rng(1)
     ens = Ensemble(gen.standard_normal((1, 30)))
     obs = scalar_obs(0.0, 50.0)
-    gamma, probes, _ = select_gamma(ens, obs, GammaPolicy(mode="adaptive_ess"), NO_TAPER)
+    gamma, probes, _ = select_gamma(ens, obs, GammaPolicy(mode="adaptive_ess"), untapered_cov(ens))
     assert gamma == min(g for g, _ in probes)
     assert all(frac >= 0.25 for _, frac in probes)
     assert gamma <= 1.0 / 15.0
@@ -104,7 +111,7 @@ def test_selection_falls_back_to_one():
     ens = Ensemble(gen.standard_normal((1, 20)))
     obs = scalar_obs(1000.0, 1.0)
     policy = GammaPolicy(mode="adaptive_ess", band=(0.99, 1.0))
-    gamma, probes, mix = select_gamma(ens, obs, policy, NO_TAPER)
+    gamma, probes, mix = select_gamma(ens, obs, policy, untapered_cov(ens))
     assert gamma == 1.0
     assert mix is None
     assert len(probes) == 4
@@ -115,25 +122,9 @@ def test_div_based_selection_runs():
     gen = np.random.default_rng(3)
     ens = Ensemble(gen.standard_normal((2, 25)))
     obs = scalar_obs(1.0, 0.5, 2)
-    gamma, probes, _ = select_gamma(ens, obs, GammaPolicy(mode="adaptive_div"), NO_TAPER)
+    gamma, probes, _ = select_gamma(ens, obs, GammaPolicy(mode="adaptive_div"), untapered_cov(ens))
     assert 0.0 <= gamma <= 1.0
     assert probes
-
-
-def test_spread_criterion_cases():
-    node = RngNode(13)
-    gen = np.random.default_rng(21)
-    ens = Ensemble(gen.standard_normal((1, 10_000)))
-    obs = scalar_obs(0.7, 1.0)
-    # at gamma = 1 the bridged update is the Kalman update on shared noise
-    assert spread_criterion(ens, obs, 1.0, NO_TAPER, node.child("a")) >= 1.0 - 1e-12
-    # all particles identical: both spreads vanish, excluded components count 1
-    const = Ensemble(np.full((2, 6), 1.3))
-    obs2 = scalar_obs(0.0, 1.0, 2)
-    assert spread_criterion(const, obs2, 0.3, NO_TAPER, node.child("b")) == 1.0
-    # Gaussian case at moderate gamma: both updates target the same posterior
-    s = spread_criterion(ens, obs, 0.5, NO_TAPER, node.child("c"))
-    assert 0.9 <= s <= 1.0
 
 
 def _count_calls(monkeypatch, module, name, counter):
@@ -146,7 +137,7 @@ def _count_calls(monkeypatch, module, name, counter):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("mode", ["adaptive_ess", "adaptive_div", "adaptive_spread"])
+@pytest.mark.parametrize("mode", ["adaptive_ess", "adaptive_div"])
 @pytest.mark.parametrize(
     "y, band, fall_back",
     # an observation hundreds of sigmas out qualifies no gamma < 1
@@ -156,10 +147,9 @@ def _count_calls(monkeypatch, module, name, counter):
 def test_update_builds_each_mixture_once(monkeypatch, mode, y, band, fall_back):
     # probes build through enkpf.gamma, the update itself through enkpf.bridge;
     # the bridge builds only when selection fell back to gamma = 1
-    counter = {"_mixture_from_cov": 0, "enkf_update": 0}
+    counter = {"_mixture_from_cov": 0}
     _count_calls(monkeypatch, enkpf.gamma, "_mixture_from_cov", counter)
     _count_calls(monkeypatch, enkpf.bridge, "_mixture_from_cov", counter)
-    _count_calls(monkeypatch, enkpf.gamma, "enkf_update", counter)
     gen = np.random.default_rng(17)
     ens = Ensemble(gen.standard_normal((3, 40)))
     obs = scalar_obs(y, 0.2, 3)
@@ -168,20 +158,41 @@ def test_update_builds_each_mixture_once(monkeypatch, mode, y, band, fall_back):
     assert (diag.gamma == 1.0) == fall_back
     assert all(frac < band[0] for _, frac in diag.probes) == fall_back
     assert counter["_mixture_from_cov"] == len(diag.probes) + fall_back
-    assert counter["enkf_update"] == (mode == "adaptive_spread")
 
 
-@pytest.mark.parametrize("mode", ["fixed", "adaptive_ess", "adaptive_div", "adaptive_spread"])
+@pytest.mark.parametrize("mode", ["fixed", "adaptive_ess", "adaptive_div"])
 def test_update_computes_the_covariance_once(monkeypatch, mode):
-    # the spread reference reuses the covariance the update computed
+    # selection probes with the covariance the update computed
     counter = {"tapered_covariance": 0}
-    for module in (enkpf.bridge, enkpf.gamma, enkpf.filters, enkpf.mixture):
+    for module in (enkpf.bridge, enkpf.filters, enkpf.mixture):
         _count_calls(monkeypatch, module, "tapered_covariance", counter)
     gen = np.random.default_rng(17)
     ens = Ensemble(gen.standard_normal((3, 40)))
     policy = GammaPolicy.fixed(0.5) if mode == "fixed" else GammaPolicy(mode=mode)
     enkpf_update(ens, scalar_obs(2.5, 0.2, 3), policy, NO_TAPER, RngNode(4).child("u"))
     assert counter["tapered_covariance"] == 1
+
+
+@pytest.mark.parametrize(
+    "mode, measure", [("fixed", None), ("adaptive_ess", ess), ("adaptive_div", div)]
+)
+def test_band_exceeded_reads_the_mode_measure(mode, measure):
+    gen = np.random.default_rng(17)
+    ens = Ensemble(gen.standard_normal((3, 40)))
+    obs = scalar_obs(2.0, 0.2, 3)
+    band = (0.25, 0.5)
+    policy = GammaPolicy.fixed(1.0) if mode == "fixed" else GammaPolicy(mode=mode, band=band)
+    _, diag = enkpf_update(ens, obs, policy, NO_TAPER, RngNode(4).child("u"))
+    w = build_mixture(ens, obs, diag.gamma, NO_TAPER).weights
+    n = ens.n_members
+    if measure is None:
+        # the uniform weights at gamma = 1 pass band[1], but fixed mode has no band
+        assert ess(w) / n > band[1]
+        assert diag.band_exceeded is False
+    else:
+        # ess/N lies below band[1] and div/N above it, so the two measures disagree
+        assert ess(w) / n < band[1] < div(w) / n
+        assert diag.band_exceeded == (measure(w) / n > band[1])
 
 
 def test_weight_variance_exact_scalar_formula():
