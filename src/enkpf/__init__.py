@@ -7,7 +7,7 @@ Includes covariance tapering, adaptive gamma selection, two testbed models,
 probabilistic scores, and a reproducible twin-experiment harness.
 """
 
-from .bridge import enkpf_update
+from .bridge import UpdateDiagnostics, enkf_update, enkpf_update, pf_update
 from .ensemble import (
     NO_TAPER,
     Ensemble,
@@ -19,7 +19,6 @@ from .ensemble import (
     tapered_covariance,
 )
 from .errors import DegenerateWeightsError, DivergenceError
-from .filters import UpdateDiagnostics, enkf_update, pf_update
 from .gamma import (
     DEFAULT_GAMMA_GRID,
     GammaPolicy,

@@ -10,13 +10,15 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import get_args
 
 import numpy as np
 
 from .blas import single_thread
 from .bridge import enkpf_update
-from .ensemble import Ensemble, TaperSpec
+from .ensemble import Ensemble, TaperKind, TaperSpec, Topology
 from .errors import DegenerateWeightsError, DivergenceError
 from .experiment import (
     _fmt,
@@ -60,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="observation csv with header component,value,noise_variance (components 1-based)",
     )
     p_upd.add_argument("--gamma", required=True, help="bridge parameter in [0,1], or 'auto'")
-    p_upd.add_argument("--taper", default="none", choices=["none", "triangular", "gaspari_cohn"])
+    p_upd.add_argument("--taper", default="none", choices=get_args(TaperKind))
     p_upd.add_argument("--taper-support", type=float, default=0.0)
-    p_upd.add_argument("--taper-topology", default="line", choices=["line", "ring"])
+    p_upd.add_argument("--taper-topology", default="line", choices=get_args(Topology))
     p_upd.add_argument("--seed", type=int, default=0)
     p_upd.add_argument("--out", default=None, help="write updated ensemble here (default stdout)")
     return parser
@@ -94,24 +96,40 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+# each observation CSV column: name, parser, what a valid value is, its test
+_OBS_COLUMNS = (
+    ("component", int, "an integer", lambda c: True),
+    ("value", float, "a finite number", math.isfinite),
+    ("noise_variance", float, "a positive finite number", lambda s2: 0 < s2 < math.inf),
+)
+
+
+def _obs_field(text: str, column, line_no: int):
+    name, parse, what, valid = column
+    try:
+        if valid(value := parse(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"observation line {line_no}: {name} must be {what}, got {text!r}")
+
+
 def _read_obs_csv(path, state_dim: int) -> LinearGaussianObservation:
-    components, values, variances = [], [], []
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "component,value,noise_variance":
+        if header != ",".join(column[0] for column in _OBS_COLUMNS):
             raise ValueError(f"unexpected observation header {header!r}")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             fields = line.strip().split(",")
             if len(fields) != 3:
                 raise ValueError(f"malformed observation row {line.strip()!r}")
-            c, v, s2 = fields
-            components.append(int(c))
-            values.append(float(v))
-            variances.append(float(s2))
-    if not components:
+            rows.append([_obs_field(*pair, line_no) for pair in zip(fields, _OBS_COLUMNS)])
+    if not rows:
         raise ValueError("observation file holds no rows")
+    components, values, variances = zip(*rows)
     if min(components) < 1 or max(components) > state_dim:
         raise ValueError(f"observed components must lie in [1, {state_dim}]")
     idx = np.asarray(components, dtype=int) - 1

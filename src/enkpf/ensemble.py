@@ -8,8 +8,11 @@ correlation matrix to suppress spurious long-range correlations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
+
+from .schema import check_fields
 
 __all__ = [
     "Ensemble",
@@ -56,6 +59,10 @@ class MomentEstimate:
     cov: np.ndarray
 
 
+TaperKind = Literal["none", "triangular", "gaspari_cohn"]
+Topology = Literal["line", "ring"]
+
+
 @dataclass(frozen=True)
 class TaperSpec:
     """Covariance taper: `none`, `triangular` (range = support), or
@@ -65,15 +72,12 @@ class TaperSpec:
     `ring` wraps around, d = min(|i - k|, q - |i - k|).
     """
 
-    kind: str = "none"
+    kind: TaperKind = "none"
     support: float = 0.0
-    topology: str = "line"
+    topology: Topology = "line"
 
     def __post_init__(self):
-        if self.kind not in ("none", "triangular", "gaspari_cohn"):
-            raise ValueError(f"unknown taper kind {self.kind!r}")
-        if self.topology not in ("line", "ring"):
-            raise ValueError(f"unknown taper topology {self.topology!r}")
+        check_fields(self)
         if self.kind != "none" and not self.support > 0:
             raise ValueError("taper support must be positive")
 

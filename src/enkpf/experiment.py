@@ -10,9 +10,7 @@ cycle; an aborted run leaves a valid prefix on disk.
 from __future__ import annotations
 
 import json
-import sys
 import time
-import types
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
@@ -21,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .blas import single_thread
-from .bridge import enkpf_update
+from .bridge import UpdateDiagnostics, enkf_update, enkpf_update, pf_update
 from .ensemble import Ensemble, TaperSpec, sample_moments, tapered_covariance
 from .errors import DivergenceError
-from .filters import UpdateDiagnostics, enkf_update, pf_update
 from .gamma import GammaPolicy, weight_variance_asymptotic
 from .mixture import _mixture_from_cov
 from .models import (
@@ -39,6 +36,7 @@ from .models import (
 from .observation import LinearGaussianObservation
 from .resampling import ess
 from .rng import RngNode
+from .schema import FieldError, _mismatch, _reject_unknown, check_fields, check_value, field_hints
 from .scoring import crps, rmse
 
 __all__ = [
@@ -68,6 +66,10 @@ STATIC_BASE_DIM = 250
 
 SUMMARY_HEADER = "score,p10,p50,mean,p90"
 
+Prior = typing.Literal["gaussian", "bimodal"]
+YPreset = typing.Literal["y1", "y2"]
+FilterKind = typing.Literal["pf", "enkf", "enkpf"]
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -83,23 +85,18 @@ class StaticPriorConfig:
     a preset name (y1 / y2) or an explicit q-vector.
     """
 
-    prior: str = "gaussian"
+    prior: Prior = "gaussian"
     q: int = 50
     y: str | tuple[float, ...] = "y1"
 
     def __post_init__(self):
-        if self.prior not in ("gaussian", "bimodal"):
-            raise ValueError(f"unknown prior {self.prior!r}")
+        check_fields(self)
         if not 1 <= self.q <= STATIC_BASE_DIM:
             raise ValueError(f"q must lie in [1, {STATIC_BASE_DIM}]")
         if isinstance(self.y, str):
-            if self.y not in ("y1", "y2"):
-                raise ValueError("y preset must be 'y1' or 'y2'")
-        else:
-            y = tuple(float(v) for v in self.y)
-            if len(y) != self.q:
-                raise ValueError("explicit y must have length q")
-            object.__setattr__(self, "y", y)
+            check_value(self.y, YPreset, "y")
+        elif len(self.y) != self.q:
+            raise ValueError("explicit y must have length q")
 
     # observation noise standard deviations of the canonical scenarios
     DEFAULT_SIGMA = {"gaussian": 0.5, "bimodal": 3.0}
@@ -116,25 +113,23 @@ class ObservationScheme:
     interval: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not self.noise_variance > 0:
             raise ValueError("noise_variance must be positive")
-        if self.components is not None:
-            comps = tuple(int(c) for c in self.components)
-            if len(comps) == 0 or len(set(comps)) != len(comps):
-                raise ValueError("components must be nonempty and distinct")
-            object.__setattr__(self, "components", comps)
+        comps = self.components
+        if comps is not None and (len(comps) == 0 or len(set(comps)) != len(comps)):
+            raise ValueError("components must be nonempty and distinct")
         if self.interval is not None and not self.interval > 0:
             raise ValueError("interval must be positive")
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    kind: str = "enkpf"
+    kind: FilterKind = "enkpf"
     policy: GammaPolicy | None = None
 
     def __post_init__(self):
-        if self.kind not in ("pf", "enkf", "enkpf"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+        check_fields(self)
         if self.kind == "enkpf" and self.policy is None:
             object.__setattr__(self, "policy", GammaPolicy())
         if self.kind != "enkpf" and self.policy is not None:
@@ -154,13 +149,13 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if self.ensemble_size < 2:
             raise ValueError("ensemble_size must be at least 2")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        static = isinstance(self.model, StaticPriorConfig)
-        if static:
-            if self.cycles not in (0, 1):
+        if isinstance(self.model, StaticPriorConfig):
+            if not 0 <= self.cycles <= 1:
                 raise ValueError("a static-prior scenario is a single update (cycles 0 or 1)")
             if self.observation.interval is not None:
                 raise ValueError("a static-prior scenario has no observation interval")
@@ -219,36 +214,25 @@ _CYCLE_ROW = ",".join("%d" if t is int else "%.17g" for t in _CYCLE_TYPES.values
 # scenario construction
 
 
-def static_prior_ensemble(prior: str, q: int, n_members: int, gen: np.random.Generator) -> Ensemble:
+def static_prior_ensemble(model: StaticPriorConfig, n_members: int, gen) -> Ensemble:
     """Draw the canonical synthetic prior: one (250, N) standard-normal base
     sample, first q rows kept; the bimodal prior shifts component 1 of the
     second half of the members by +6."""
-    if not 1 <= q <= STATIC_BASE_DIM:
-        raise ValueError(f"q must lie in [1, {STATIC_BASE_DIM}]")
-    base = gen.standard_normal((STATIC_BASE_DIM, n_members))
-    x = base[:q].copy()
-    if prior == "bimodal":
+    x = gen.standard_normal((STATIC_BASE_DIM, n_members))[: model.q].copy()
+    if model.prior == "bimodal":
         x[0, n_members // 2 :] += 6.0
-    elif prior != "gaussian":
-        raise ValueError(f"unknown prior {prior!r}")
     return Ensemble(x)
 
 
-def static_prior_observation(prior: str, q: int, y_spec) -> np.ndarray:
-    """Resolve a preset observation vector for the synthetic scenarios."""
-    if not isinstance(y_spec, str):
-        y = np.asarray(y_spec, dtype=float)
-        if y.shape != (q,):
-            raise ValueError("explicit y must be a q-vector")
-        return y
-    if y_spec not in ("y1", "y2"):
-        raise ValueError(f"unknown y preset {y_spec!r}")
-    y = np.zeros(q)
-    if prior == "gaussian":
-        if y_spec == "y2":
-            y[: min(2, q)] = 1.5
-    else:
-        y[0] = -2.0 if y_spec == "y1" else 3.0
+def static_prior_observation(model: StaticPriorConfig) -> np.ndarray:
+    """The scenario's observation vector, its y preset resolved."""
+    if not isinstance(model.y, str):
+        return np.asarray(model.y)
+    y = np.zeros(model.q)
+    if model.prior == "bimodal":
+        y[0] = -2.0 if model.y == "y1" else 3.0
+    elif model.y == "y2":
+        y[:2] = 1.5
     return y
 
 
@@ -274,9 +258,7 @@ def _initial_states(cfg: ExperimentConfig, root: RngNode):
         return ens, truth
     if isinstance(model, KdVConfig):
         return kdv_initial(model, cfg.ensemble_size), kdv_truth(model)
-    ens = static_prior_ensemble(
-        model.prior, model.q, cfg.ensemble_size, root.child("init", "ensemble").generator()
-    )
+    ens = static_prior_ensemble(model, cfg.ensemble_size, root.child("init", "ensemble").generator())
     return ens, None
 
 
@@ -345,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         for cycle in range(1, n_cycles + 1):
             started = time.perf_counter() if cfg.record_timing else 0.0
             if static:
-                y = static_prior_observation(cfg.model.prior, q, cfg.model.y)[idx]
+                y = static_prior_observation(cfg.model)[idx]
                 t = 0.0
             else:
                 # the truth advances as column N+1 of the ensemble matrix: one
@@ -420,8 +402,8 @@ class SweepConfig:
     ensemble_size members, each gamma of gamma_grid. `output` is where the
     CLI writes the table (stdout when None)."""
 
-    priors: tuple[typing.Literal["gaussian", "bimodal"], ...] = ("gaussian", "bimodal")
-    observations: tuple[typing.Literal["y1", "y2"], ...] = ("y1", "y2")
+    priors: tuple[Prior, ...] = typing.get_args(Prior)
+    observations: tuple[YPreset, ...] = typing.get_args(YPreset)
     dims: tuple[int, ...] = (10, 50, 250)
     ensemble_size: int = 50
     taper: TaperSpec = TaperSpec(kind="triangular", support=10.0, topology="line")
@@ -429,6 +411,9 @@ class SweepConfig:
     seed: int = 0
     raw_moment_estimates: bool = False
     output: str | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @single_thread()
@@ -446,12 +431,14 @@ def diversity_sweep(cfg: SweepConfig = SweepConfig(), **changes):
     for prior in cfg.priors:
         for q in cfg.dims:
             # a fresh generator per scenario, so every prior and q shares one base sample
-            ens = static_prior_ensemble(prior, q, cfg.ensemble_size, node.generator())
+            ens = static_prior_ensemble(
+                StaticPriorConfig(prior, q), cfg.ensemble_size, node.generator()
+            )
             sigma2 = StaticPriorConfig.DEFAULT_SIGMA[prior] ** 2
             tapered = tapered_covariance(ens, cfg.taper)
             mom = sample_moments(ens) if cfg.raw_moment_estimates else tapered
             for y_name in cfg.observations:
-                y = static_prior_observation(prior, q, y_name)
+                y = static_prior_observation(StaticPriorConfig(prior, q, y_name))
                 obs = LinearGaussianObservation.from_indices(
                     np.arange(q), sigma2 * np.eye(q), y, q
                 )
@@ -460,7 +447,7 @@ def diversity_sweep(cfg: SweepConfig = SweepConfig(), **changes):
                     frac = ess(w) / cfg.ensemble_size
                     nsq_var = weight_variance_asymptotic(mom.cov, mom.mean, obs, gamma)
                     approx = 1.0 / (1.0 + nsq_var)
-                    rows.append((prior, y_name, q, float(gamma), frac, approx))
+                    rows.append((prior, y_name, q, gamma, frac, approx))
     return rows
 
 
@@ -545,99 +532,41 @@ def write_sweep_csv(target, rows):
 # JSON configuration
 #
 # The config dataclasses are the schema: a JSON object becomes a dataclass
-# with its fields as the only keys, and each value is read by its field's
-# annotation.
+# with its fields as the only keys, and each constructor checks its values
+# by their annotations (enkpf.schema).
 
 _MODELS = {"lorenz96": Lorenz96Config, "kdv": KdVConfig, "static_prior": StaticPriorConfig}
 
-_UNIONS = (typing.Union, types.UnionType)
-_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
-_PLURALS = {bool: "booleans", int: "integers", float: "numbers", str: "strings"}
-
-
-def _describe(hint) -> str:
-    """What JSON a value of type `hint` takes, as error messages say it."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in _UNIONS:
-        return " or ".join("null" if a is type(None) else _describe(a) for a in args)
-    if origin is typing.Literal:
-        return f"one of {list(args)}"
-    if origin is tuple:
-        if typing.get_origin(args[0]) is typing.Literal:
-            return f"a list drawn from {list(typing.get_args(args[0]))}"
-        count = "" if args[-1] is Ellipsis else f"{len(args)} "
-        return f"a list of {count}{_PLURALS[args[0]]}"
-    if is_dataclass(hint):
-        return "a JSON object"
-    return _SCALARS[hint]
-
-
-def _mismatch(value, hint, key: str) -> ValueError:
-    return ValueError(f"{key} must be {_describe(hint)}, got {json.dumps(value)}")
-
-
-def _reject_unknown(d, allowed, key: str):
-    if not isinstance(d, dict):
-        raise ValueError(f"{key} must be a JSON object, got {json.dumps(d)}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown keys in {key}: {unknown}")
-
 
 def _from_json(value, hint, key: str):
-    """Parsed JSON `value` read as type `hint`; `key` names it in errors.
+    """Parsed JSON `value` built into the dataclass that `hint` names; `key`
+    names it in errors.
 
     A dataclass takes an object whose keys are its field names (absent
-    fields keep their defaults), `X | None` also takes null, a union of
-    model configs picks the class by the object's `kind`, any other union
-    takes the first alternative that reads, `tuple[T, ...]` takes an array
-    of T and `tuple[T, T]` an array of exactly two, a Literal one of its
-    values, and bool, int, float and str their own JSON type, where an
-    integer also passes as a number, a number must be finite, and true and
-    false pass only as booleans.
+    fields keep their defaults), and a union of model configs picks the
+    class by the object's `kind`. Any other value goes to the constructor
+    as it is, whose type check refuses it under `key`.
     """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in _UNIONS:
-        alternatives = [a for a in args if a is not type(None)]
-        if value is None and len(alternatives) < len(args):
-            return None
-        if len(alternatives) == 1:
-            return _from_json(value, alternatives[0], key)
-        if all(map(is_dataclass, alternatives)):
-            # the model section, whose class is named by its kind
-            if not isinstance(value, dict):
-                raise _mismatch(value, alternatives[0], key)
-            kind = _from_json(value.get("kind"), typing.Literal[tuple(_MODELS)], f"{key}.kind")
-            return _from_json({k: v for k, v in value.items() if k != "kind"}, _MODELS[kind], key)
-        for alternative in alternatives:
-            try:
-                return _from_json(value, alternative, key)
-            except ValueError:
-                pass
-        raise _mismatch(value, hint, key)
-    if is_dataclass(hint):
-        _reject_unknown(value, {f.name for f in fields(hint)}, key)
-        hints = typing.get_type_hints(hint)
-        for f in fields(hint):
-            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{key} requires the {f.name!r} key")
-        return hint(**{k: _from_json(v, hints[k], f"{key}.{k}") for k, v in value.items()})
-    if origin is tuple:
-        if isinstance(value, list):
-            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
-            try:
-                if len(kinds) == len(value):
-                    return tuple(_from_json(v, kind, key) for v, kind in zip(value, kinds))
-            except ValueError:
-                pass
-    elif origin is typing.Literal:
-        if value in args:
-            return value
-    elif isinstance(value, (int, float) if hint is float else hint):
-        if isinstance(value, bool) == (hint is bool):  # true and false are only booleans
-            if hint is not float or abs(value) <= sys.float_info.max:  # NaN, inf and 10**400 fail
-                return float(value) if hint is float else value
-    raise _mismatch(value, hint, key)
+    classes = [a for a in typing.get_args(hint) or (hint,) if is_dataclass(a)]
+    if not classes or (value is None and type(None) in typing.get_args(hint)):
+        return value
+    if len(classes) > 1:  # the model section, whose class is named by its kind
+        if not isinstance(value, dict):
+            raise _mismatch(value, hint, key)
+        kind = check_value(value.get("kind"), typing.Literal[tuple(_MODELS)], f"{key}.kind")
+        value = {k: v for k, v in value.items() if k != "kind"}
+        classes = [_MODELS[kind]]
+    (cls,) = classes
+    hints = field_hints(cls)
+    _reject_unknown(value, hints, key)
+    for f in fields(cls):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{key} requires the {f.name!r} key")
+    kwargs = {k: _from_json(v, hints[k], f"{key}.{k}") for k, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except FieldError as err:
+        raise ValueError(f"{key}.{err}") from None
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
@@ -663,8 +592,8 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
         key = "config.observation.schedule"
         _reject_unknown(schedule, {"interval"}, key)
         if "interval" in schedule:
-            hint = typing.get_type_hints(ObservationScheme)["interval"]
-            obs["interval"] = _from_json(schedule["interval"], hint, f"{key}.interval")
+            hint = field_hints(ObservationScheme)["interval"]
+            obs["interval"] = check_value(schedule["interval"], hint, f"{key}.interval")
     return _from_json({**d, "observation": obs}, ExperimentConfig, "config")
 
 

@@ -14,7 +14,7 @@ predictions via ess ~ N / (1 + N^2 Var).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Literal
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -23,6 +23,7 @@ from .ensemble import Ensemble
 from .mixture import _mixture_from_cov, _tempered_stage
 from .observation import LinearGaussianObservation, kalman_gain
 from .resampling import div, ess
+from .schema import check_fields
 
 __all__ = [
     "GammaPolicy",
@@ -57,23 +58,21 @@ class GammaPolicy:
     max_probes: int = 4
 
     def __post_init__(self):
-        if self.mode not in get_args(Mode):
-            raise ValueError(f"unknown gamma policy mode {self.mode!r}")
+        check_fields(self)
         if self.mode == "fixed":
             if self.gamma is None or not 0.0 <= self.gamma <= 1.0:
                 raise ValueError("fixed mode needs gamma in [0, 1]")
-        if len(self.band) != 2 or not 0.0 <= self.band[0] <= self.band[1] <= 1.0:
+        if not 0.0 <= self.band[0] <= self.band[1] <= 1.0:
             raise ValueError("band must be (low, high) with 0 <= low <= high <= 1")
-        grid = tuple(float(g) for g in self.grid)
+        grid = self.grid
         if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0 or list(grid) != sorted(grid):
             raise ValueError("grid must be ascending and span 0 to 1")
         if self.max_probes < 1:
             raise ValueError("max_probes must be positive")
-        object.__setattr__(self, "grid", grid)
 
     @classmethod
     def fixed(cls, gamma: float) -> "GammaPolicy":
-        return cls(mode="fixed", gamma=float(gamma))
+        return cls(mode="fixed", gamma=gamma)
 
 
 def select_gamma(
@@ -92,11 +91,11 @@ def select_gamma(
     nondecreasing in gamma.
     """
     if policy.mode == "fixed":
-        return float(policy.gamma), (), None
+        return policy.gamma, (), None
     measure = MEASURES[policy.mode]
     grid, tau0 = policy.grid, policy.band[0]
     lo, hi = 0, len(grid) - 1
-    probes, chosen = [], (float(grid[-1]), None)
+    probes, chosen = [], (grid[-1], None)
     while lo < hi and len(probes) < policy.max_probes:
         mid = (lo + hi) // 2
         mix = _mixture_from_cov(ens.states, cov, obs, grid[mid])
@@ -104,7 +103,7 @@ def select_gamma(
         probes.append((grid[mid], frac))
         if frac >= tau0:
             # later probes all lie left of this one, so the last to qualify is the smallest
-            chosen, hi = (float(grid[mid]), mix), mid
+            chosen, hi = (grid[mid], mix), mid
         else:
             lo = mid + 1
     return chosen[0], tuple(probes), chosen[1]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import DivergenceError
+from .schema import check_fields
 
 __all__ = [
     "Lorenz96Config",
@@ -44,6 +45,7 @@ class Lorenz96Config:
     lead_time: float = 0.4
 
     def __post_init__(self):
+        check_fields(self)
         if self.q < 4:
             raise ValueError("need at least 4 components for the cyclic stencil")
         if not self.dt > 0:
@@ -62,6 +64,7 @@ class KdVConfig:
     dealias: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         gp = self.grid_points
         if gp < 4 or gp & (gp - 1) != 0:
             raise ValueError("grid_points must be a power of two")

@@ -210,6 +210,17 @@ def _missing_obs(tmp_path):
     return ens_csv, tmp_path / "no_such_obs.csv"
 
 
+def _second_obs_row(row):
+    """Inputs whose observation file has `row` after one good row (file line 3)."""
+
+    def make_inputs(tmp_path):
+        ens_csv, obs_csv = _write_update_inputs(tmp_path)
+        obs_csv.write_text(f"component,value,noise_variance\n1,0.4,0.25\n{row}\n")
+        return ens_csv, obs_csv
+
+    return make_inputs
+
+
 @pytest.mark.parametrize(
     "make_inputs, expected",
     [
@@ -217,8 +228,27 @@ def _missing_obs(tmp_path):
         (_short_body, "does not match header"),
         (_two_field_obs_row, "malformed observation row"),
         (_missing_obs, "no_such_obs.csv"),
+        (_second_obs_row("1.5,0.4,0.25"),
+         "observation line 3: component must be an integer, got '1.5'"),
+        (_second_obs_row("4,-0.2,-0.5"),
+         "observation line 3: noise_variance must be a positive finite number, got '-0.5'"),
+        (_second_obs_row("4,-0.2,0"),
+         "observation line 3: noise_variance must be a positive finite number, got '0'"),
+        (_second_obs_row("4,-0.2,inf"),
+         "observation line 3: noise_variance must be a positive finite number, got 'inf'"),
+        (_second_obs_row("4,nan,0.25"), "observation line 3: value must be a finite number, got 'nan'"),
     ],
-    ids=["huge_forecast", "short_body", "two_field_obs_row", "missing_obs"],
+    ids=[
+        "huge_forecast",
+        "short_body",
+        "two_field_obs_row",
+        "missing_obs",
+        "fractional_component",
+        "negative_noise_variance",
+        "zero_noise_variance",
+        "infinite_noise_variance",
+        "nan_value",
+    ],
 )
 def test_console_script_reports_bad_update_input_in_one_line(tmp_path, make_inputs, expected):
     ens_csv, obs_csv = make_inputs(tmp_path)
@@ -233,6 +263,65 @@ def test_console_script_reports_bad_update_input_in_one_line(tmp_path, make_inpu
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("enkpf: ") and expected in line
+
+
+_FORECAST = np.random.default_rng(12).standard_normal((6, 25))
+_TWO_OBS = [(1, 0.4, 0.25), (4, -0.2, 0.25)]
+
+
+@pytest.mark.parametrize(
+    "states, obs_rows, gamma, check",
+    [
+        pytest.param(_FORECAST[:, :2], _TWO_OBS, "auto", None, id="two_members"),
+        pytest.param(_FORECAST, [(c, 0.1 * c, 0.25) for c in range(1, 7)], "auto", None,
+                     id="every_component_observed"),
+        # zero spread: no gain, no noise, equal weights; the forecast comes back
+        pytest.param(np.repeat(_FORECAST[:, :1], 25, axis=1), _TWO_OBS, "auto", np.array_equal,
+                     id="duplicated_members"),
+        # only member 1 keeps a weight at gamma = 0, so resampling copies it
+        pytest.param(_FORECAST, [(c, _FORECAST[c - 1, 0], 1e-8) for c in range(1, 7)], "0",
+                     lambda analysis, forecast: np.all(analysis == forecast[:, :1]),
+                     id="all_but_one_weight_underflow"),
+        pytest.param(_FORECAST, _TWO_OBS, "0", None, id="fixed_gamma_0"),
+        pytest.param(_FORECAST, _TWO_OBS, "1", None, id="fixed_gamma_1"),
+    ],
+)
+def test_console_script_update_edge_cases(tmp_path, capsys, states, obs_rows, gamma, check):
+    write_matrix_csv(tmp_path / "ens.csv", states)
+    rows = "".join(f"{c},{float(v)!r},{s2!r}\n" for c, v, s2 in obs_rows)
+    (tmp_path / "obs.csv").write_text("component,value,noise_variance\n" + rows)
+    argv = ["update", "--ensemble", str(tmp_path / "ens.csv"), "--obs", str(tmp_path / "obs.csv"),
+            "--gamma", gamma, "--out", str(tmp_path / "analysis.csv")]
+    assert console_main(argv) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("gamma=") and "ess_frac=" in line
+    if gamma != "auto":
+        assert float(line.split()[0].split("=")[1]) == float(gamma)
+    analysis = read_matrix_csv(tmp_path / "analysis.csv")
+    assert analysis.shape == states.shape and np.all(np.isfinite(analysis))
+    assert check is None or check(analysis, states)
+
+
+def test_console_script_runs_kdv_without_dealiasing(tmp_path, capsys):
+    payload = {
+        "model": {"kind": "kdv", "dealias": False},
+        "filter": {"kind": "enkpf", "policy": {"mode": "fixed", "gamma": 0.05}},
+        "ensemble_size": 16,
+        "cycles": 3,
+        "observation": {"components": [13, 38, 58, 76, 88, 106], "noise_variance": 0.02},
+    }
+    finals = []
+    for dealias in (False, True):
+        payload["model"]["dealias"] = dealias
+        cfg = tmp_path / f"kdv_{dealias}.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / f"out_{dealias}"
+        assert console_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "completed 3 cycles\n"
+        assert len((out / "cycles.csv").read_text().splitlines()) == 4
+        finals.append(read_matrix_csv(out / "final_ensemble.csv"))
+    assert np.all(np.isfinite(finals[0]))
+    assert not np.array_equal(*finals)  # the flag reaches the solver
 
 
 _RUN_BASE = {

@@ -21,6 +21,7 @@ from enkpf import (
     ObservationScheme,
     StaticPriorConfig,
     SweepConfig,
+    TaperSpec,
     experiment_config_from_dict,
     load_experiment_config,
     load_sweep_config,
@@ -39,27 +40,30 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def test_static_prior_uses_one_base_sample():
     # the q-dim prior is the leading block of the same 250-dim draw
-    big = static_prior_ensemble("gaussian", 250, 50, np.random.default_rng(3))
-    small = static_prior_ensemble("gaussian", 10, 50, np.random.default_rng(3))
+    big = static_prior_ensemble(StaticPriorConfig("gaussian", 250), 50, np.random.default_rng(3))
+    small = static_prior_ensemble(StaticPriorConfig("gaussian", 10), 50, np.random.default_rng(3))
     assert np.array_equal(small.states, big.states[:10])
 
 
 def test_static_prior_bimodal_shift():
-    gauss = static_prior_ensemble("gaussian", 5, 8, np.random.default_rng(4))
-    bim = static_prior_ensemble("bimodal", 5, 8, np.random.default_rng(4))
+    gauss = static_prior_ensemble(StaticPriorConfig("gaussian", 5), 8, np.random.default_rng(4))
+    bim = static_prior_ensemble(StaticPriorConfig("bimodal", 5), 8, np.random.default_rng(4))
     assert np.array_equal(bim.states[0, 4:], gauss.states[0, 4:] + 6.0)
     assert np.array_equal(bim.states[0, :4], gauss.states[0, :4])
     assert np.array_equal(bim.states[1:], gauss.states[1:])
 
 
 def test_static_prior_observation_presets():
-    assert np.array_equal(static_prior_observation("gaussian", 4, "y1"), np.zeros(4))
-    assert np.array_equal(static_prior_observation("gaussian", 4, "y2"), [1.5, 1.5, 0, 0])
-    assert np.array_equal(static_prior_observation("bimodal", 3, "y1"), [-2.0, 0, 0])
-    assert np.array_equal(static_prior_observation("bimodal", 3, "y2"), [3.0, 0, 0])
-    assert np.array_equal(static_prior_observation("gaussian", 2, (0.7, -0.1)), [0.7, -0.1])
+    def observation(prior, q, y):
+        return static_prior_observation(StaticPriorConfig(prior, q, y))
+
+    assert np.array_equal(observation("gaussian", 4, "y1"), np.zeros(4))
+    assert np.array_equal(observation("gaussian", 4, "y2"), [1.5, 1.5, 0, 0])
+    assert np.array_equal(observation("bimodal", 3, "y1"), [-2.0, 0, 0])
+    assert np.array_equal(observation("bimodal", 3, "y2"), [3.0, 0, 0])
+    assert np.array_equal(observation("gaussian", 2, (0.7, -0.1)), [0.7, -0.1])
     with pytest.raises(ValueError):
-        static_prior_observation("gaussian", 4, "y9")
+        observation("gaussian", 4, "y9")
 
 
 def test_config_validation():
@@ -375,6 +379,10 @@ def _readable(hint) -> bool:
     return dataclasses.is_dataclass(hint) or hint in (bool, int, float, str)
 
 
+# the fields without a default, for building each config class
+_REQUIRED = {ExperimentConfig: {"model": Lorenz96Config()}}
+
+
 def test_config_reader_handles_every_field_type():
     unreadable = []
     pending, seen = [ExperimentConfig, SweepConfig], set()
@@ -392,3 +400,71 @@ def test_config_reader_handles_every_field_type():
     assert unreadable == []
     # the walk is not vacuous: types without a reader rule are caught
     assert not any(map(_readable, (list[int], dict, tuple[int, float], tuple[FilterSpec, ...])))
+    # every constructor applies the rule itself, first: a value no field type
+    # takes is refused in one line that names the field, numpy scalars too
+    unchecked = []
+    for cls in seen:
+        for f in dataclasses.fields(cls):
+            for bad in (np.int64(3), np.float64("nan"), [[]]):
+                try:
+                    cls(**{**_REQUIRED.get(cls, {}), f.name: bad})
+                except Exception as err:  # a TypeError, too, shows a skipped rule
+                    one_line = isinstance(err, ValueError) and len(str(err).splitlines()) == 1
+                    if one_line and str(err).startswith(f"{f.name} must be "):
+                        continue
+                unchecked.append(f"{cls.__name__}.{f.name} = {bad!r}")
+    assert unchecked == []
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, message",
+    [
+        (ObservationScheme, {"components": (1.7,)}, "components must be a list of integers, got [1.7]"),
+        (StaticPriorConfig, {"q": 3, "y": 5}, "y must be a string or a list of numbers, got 5"),
+        (Lorenz96Config, {"q": "40"}, 'q must be an integer, got "40"'),
+        (TaperSpec, {"support": "x"}, 'support must be a number, got "x"'),
+        (Lorenz96Config, {"q": 40.5}, "q must be an integer, got 40.5"),
+        (ExperimentConfig, {"seed": "3"}, 'seed must be an integer, got "3"'),
+        (ExperimentConfig, {"ensemble_size": 10.5}, "ensemble_size must be an integer, got 10.5"),
+        (KdVConfig, {"dealias": "no"}, 'dealias must be true or false, got "no"'),
+        (GammaPolicy, {"max_probes": 2.5}, "max_probes must be an integer, got 2.5"),
+        (Lorenz96Config, {"forcing": float("nan")}, "forcing must be a number, got NaN"),
+        (ObservationScheme, {"noise_variance": float("inf")},
+         "noise_variance must be a number, got Infinity"),
+        (SweepConfig, {"dims": "abc"}, 'dims must be a list of integers, got "abc"'),
+        (FilterSpec, {"kind": "particle"}, "kind must be one of ['pf', 'enkf', 'enkpf'], got \"particle\""),
+        (TaperSpec, {"topology": "torus"}, "topology must be one of ['line', 'ring'], got \"torus\""),
+        (StaticPriorConfig, {"y": "y9"}, "y must be one of ['y1', 'y2'], got \"y9\""),
+        (GammaPolicy, {"band": (0.1, 0.2, 0.3)}, "band must be a list of 2 numbers, got [0.1, 0.2, 0.3]"),
+    ],
+    ids=[
+        "components_fractional",
+        "static_prior_y_number",
+        "q_string",
+        "taper_support_string",
+        "q_fractional",
+        "seed_string",
+        "ensemble_size_fractional",
+        "dealias_string",
+        "max_probes_fractional",
+        "forcing_nan",
+        "noise_variance_infinite",
+        "sweep_dims_string",
+        "filter_kind_unknown",
+        "taper_topology_unknown",
+        "y_preset_unknown",
+        "band_three_values",
+    ],
+)
+def test_constructors_refuse_what_the_reader_refuses(cls, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        cls(**{**_REQUIRED.get(cls, {}), **kwargs})
+    assert str(err.value) == message
+
+
+def test_constructors_store_numbers_as_floats_and_lists_as_tuples():
+    policy = GammaPolicy(mode="fixed", gamma=1, band=[0, 1], grid=[0, 1])
+    assert (policy.gamma, policy.band, policy.grid) == (1.0, (0.0, 1.0), (0.0, 1.0))
+    assert all(type(v) is float for v in (policy.gamma, *policy.band, *policy.grid))
+    assert ObservationScheme(components=[3, 1]).components == (3, 1)
+    assert StaticPriorConfig(q=2, y=[1, -2]).y == (1.0, -2.0)

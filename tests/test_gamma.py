@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import enkpf.bridge
-import enkpf.filters
 import enkpf.gamma
 import enkpf.mixture
 from enkpf import (
@@ -164,7 +163,7 @@ def test_update_builds_each_mixture_once(monkeypatch, mode, y, band, fall_back):
 def test_update_computes_the_covariance_once(monkeypatch, mode):
     # selection probes with the covariance the update computed
     counter = {"tapered_covariance": 0}
-    for module in (enkpf.bridge, enkpf.filters, enkpf.mixture):
+    for module in (enkpf.bridge, enkpf.mixture):
         _count_calls(monkeypatch, module, "tapered_covariance", counter)
     gen = np.random.default_rng(17)
     ens = Ensemble(gen.standard_normal((3, 40)))
