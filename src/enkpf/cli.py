@@ -138,15 +138,24 @@ def _read_obs_csv(path, state_dim: int) -> LinearGaussianObservation:
     )
 
 
+def _gamma_policy(text: str) -> GammaPolicy:
+    if text == "auto":
+        return GammaPolicy()
+    try:
+        gamma = float(text)
+    except ValueError:
+        gamma = math.nan
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"--gamma must be 'auto' or a number in [0, 1], got {text!r}")
+    return GammaPolicy.fixed(gamma)
+
+
 def _cmd_update(args) -> int:
+    policy = _gamma_policy(args.gamma)
     states = read_matrix_csv(args.ensemble)
     ens = Ensemble(states)
     obs = _read_obs_csv(args.obs, ens.q)
     taper = TaperSpec(kind=args.taper, support=args.taper_support, topology=args.taper_topology)
-    if args.gamma == "auto":
-        policy = GammaPolicy()
-    else:
-        policy = GammaPolicy.fixed(float(args.gamma))
     node = RngNode(args.seed).child("cycle", 1, "update")
     try:
         out, diag = enkpf_update(ens, obs, policy, taper, node)

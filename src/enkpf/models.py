@@ -7,7 +7,17 @@ are bitwise deterministic. Divergence (NaN/overflow) raises DivergenceError.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -104,12 +114,10 @@ def _wrap(x, form):
 def lorenz96_propagate(state, cfg: Lorenz96Config, duration: float | None = None):
     """Advance by forward Euler steps of cfg.dt over the given duration.
 
-    The state sits in rows 2..q+1 of one padded (q+3, M) buffer. Rows 0-1
-    repeat x[q-2], x[q-1] and row q+2 repeats x[0], so the cyclic neighbours
-    x[k+1], x[k-2] and x[k-1] are plain row slices. Each step refreshes the
-    three wrap rows and evaluates the drift into one preallocated temporary
-    in the operation order of lorenz96_drift, so the result is bitwise equal
-    to repeating x = x + dt * lorenz96_drift(x, forcing). The input is not
+    The steps run in the compiled kernel of _l96.c where a C compiler can
+    build it, and in a numpy loop otherwise. Both evaluate the drift in the
+    operation order of lorenz96_drift, so either result is bitwise equal to
+    repeating x = x + dt * lorenz96_drift(x, forcing). The input is not
     modified.
     """
     x, form = _as_matrix(state)
@@ -117,7 +125,76 @@ def lorenz96_propagate(state, cfg: Lorenz96Config, duration: float | None = None
     if x.shape[0] != q:
         raise ValueError(f"state dimension {x.shape[0]} != configured q {q}")
     steps = _step_count(cfg.lead_time if duration is None else duration, cfg.dt)
-    dt, forcing = np.float64(cfg.dt), np.float64(cfg.forcing)
+    out = (_l96_kernel() or _euler_numpy)(x, steps, cfg.dt, cfg.forcing)
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("lorenz96 state became non-finite")
+    return _wrap(out, form)
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_l96.c")
+# no -ffast-math and no FMA contraction: either would change bits; no
+# -march=native: the cached library must run on any CPU of its architecture
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _l96_kernel():
+    """The Euler loop of _l96.c as a drop-in for _euler_numpy, or None where
+    the kernel cannot be built or loaded.
+
+    Built on first use with the system C compiler into __pycache__ next to
+    the source, named by a hash of the source and the compile command. The
+    compiler writes a temporary file that os.replace publishes, so
+    processes building at once each load a complete library.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        cc = ["cc"]
+    command = [*cc, *_KERNEL_FLAGS]
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        digest = hashlib.sha256(source + " ".join(command).encode()).hexdigest()[:16]
+        lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_l96-{digest}.so"
+        if not lib.exists():
+            lib.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix="_l96-", dir=lib.parent)
+            os.close(fd)
+            try:
+                subprocess.run([*command, "-o", tmp, str(_KERNEL_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        dll = ctypes.CDLL(str(lib))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel, block = dll.l96_euler, ctypes.c_long.in_dll(dll, "l96_block").value
+    c_long, c_double, c_void_p = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+    kernel.argtypes = [c_void_p, c_long, c_long, c_long, c_double, c_double, c_void_p]
+    kernel.restype = None
+
+    def euler(x, steps, dt, forcing):
+        out = np.array(x, dtype=np.float64, order="C")
+        q, m = out.shape
+        work = np.empty(2 * q * block)
+        kernel(out.ctypes.data, q, m, steps, dt, forcing, work.ctypes.data)
+        return out
+
+    return euler
+
+
+def _euler_numpy(x, steps, dt, forcing):
+    """The Euler loop without a compiler, and the reference the kernel is
+    tested against.
+
+    The state sits in rows 2..q+1 of one padded (q+3, M) buffer. Rows 0-1
+    repeat x[q-2], x[q-1] and row q+2 repeats x[0], so the cyclic neighbours
+    x[k+1], x[k-2] and x[k-1] are plain row slices. Each step refreshes the
+    three wrap rows and evaluates the drift into one preallocated temporary.
+    """
+    q = x.shape[0]
+    dt, forcing = np.float64(dt), np.float64(forcing)
     pad = np.empty((q + 3, x.shape[1]))
     body = pad[2 : q + 2]
     body[...] = x
@@ -136,9 +213,7 @@ def lorenz96_propagate(state, cfg: Lorenz96Config, duration: float | None = None
         add(d, forcing, d)
         multiply(dt, d, d)
         add(body, d, body)
-    if not np.all(np.isfinite(body)):
-        raise DivergenceError("lorenz96 state became non-finite")
-    return _wrap(body, form)
+    return body
 
 
 def lorenz96_initial(gen: np.random.Generator, n_members: int, q: int = 40) -> Ensemble:

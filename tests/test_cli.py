@@ -221,22 +221,36 @@ def _second_obs_row(row):
     return make_inputs
 
 
+def _no_inputs(tmp_path):
+    # --gamma is checked before either file is read
+    return tmp_path / "no_such_ensemble.csv", tmp_path / "no_such_obs.csv"
+
+
+def _bad_gamma(text):
+    return _no_inputs, text, f"--gamma must be 'auto' or a number in [0, 1], got '{text}'"
+
+
 @pytest.mark.parametrize(
-    "make_inputs, expected",
+    "make_inputs, gamma, expected",
     [
-        (_huge_forecast, "infs or NaNs"),
-        (_short_body, "does not match header"),
-        (_two_field_obs_row, "malformed observation row"),
-        (_missing_obs, "no_such_obs.csv"),
-        (_second_obs_row("1.5,0.4,0.25"),
+        (_huge_forecast, "0.5", "infs or NaNs"),
+        (_short_body, "0.5", "does not match header"),
+        (_two_field_obs_row, "0.5", "malformed observation row"),
+        (_missing_obs, "0.5", "no_such_obs.csv"),
+        (_second_obs_row("1.5,0.4,0.25"), "0.5",
          "observation line 3: component must be an integer, got '1.5'"),
-        (_second_obs_row("4,-0.2,-0.5"),
+        (_second_obs_row("4,-0.2,-0.5"), "0.5",
          "observation line 3: noise_variance must be a positive finite number, got '-0.5'"),
-        (_second_obs_row("4,-0.2,0"),
+        (_second_obs_row("4,-0.2,0"), "0.5",
          "observation line 3: noise_variance must be a positive finite number, got '0'"),
-        (_second_obs_row("4,-0.2,inf"),
+        (_second_obs_row("4,-0.2,inf"), "0.5",
          "observation line 3: noise_variance must be a positive finite number, got 'inf'"),
-        (_second_obs_row("4,nan,0.25"), "observation line 3: value must be a finite number, got 'nan'"),
+        (_second_obs_row("4,nan,0.25"), "0.5",
+         "observation line 3: value must be a finite number, got 'nan'"),
+        _bad_gamma("abc"),
+        _bad_gamma("1.5"),
+        _bad_gamma("-0.1"),
+        _bad_gamma("nan"),
     ],
     ids=[
         "huge_forecast",
@@ -248,15 +262,19 @@ def _second_obs_row(row):
         "zero_noise_variance",
         "infinite_noise_variance",
         "nan_value",
+        "gamma_not_a_number",
+        "gamma_above_one",
+        "gamma_below_zero",
+        "gamma_nan",
     ],
 )
-def test_console_script_reports_bad_update_input_in_one_line(tmp_path, make_inputs, expected):
+def test_console_script_reports_bad_update_input_in_one_line(tmp_path, make_inputs, gamma, expected):
     ens_csv, obs_csv = make_inputs(tmp_path)
     src = str(Path(enkpf.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "enkpf.cli", "update", "--ensemble", str(ens_csv),
-         "--obs", str(obs_csv), "--gamma", "0.5"],
+         "--obs", str(obs_csv), "--gamma", gamma],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 1

@@ -1,6 +1,15 @@
+import hashlib
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from enkpf import models
 from enkpf import (
     DivergenceError,
     Ensemble,
@@ -92,6 +101,121 @@ def test_propagate_bitwise_matches_drift_euler(q):
         got = out.states if isinstance(out, Ensemble) else out
         assert np.array_equal(got, _euler_reference(x, cfg, steps))
         assert np.array_equal(x, before)
+
+
+_KERNEL = models._l96_kernel()
+needs_kernel = pytest.mark.skipif(_KERNEL is None, reason="the C kernel could not be built here")
+_SOURCE = Path(models.__file__).with_name("_l96.c")
+BLOCK = int(re.search(r"#define L96_BLOCK (\d+)", _SOURCE.read_text()).group(1))
+
+
+@needs_kernel
+@pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 401])
+@pytest.mark.parametrize("q", [4, 5, 40, 100])
+def test_kernel_matches_numpy_loop_bitwise(q, m):
+    # m around the block width covers a lone partial block, one full block
+    # and a full block followed by a one-column block
+    x = 3.0 * np.random.default_rng(q * 1000 + m).standard_normal((q, m))
+    before = x.copy()
+    got = _KERNEL(x, 80, 0.001, 8.0)
+    assert np.array_equal(got, models._euler_numpy(x, 80, 0.001, 8.0))
+    assert np.array_equal(x, before)
+
+
+@needs_kernel
+def test_kernel_takes_zero_steps_and_any_layout():
+    cfg = Lorenz96Config()
+    x = np.random.default_rng(7).standard_normal((40, 2 * BLOCK + 3))
+    assert np.array_equal(lorenz96_propagate(x, cfg, 0.0), x)
+    for state in (np.asfortranarray(x), np.arange(40 * 9).reshape(40, 9) % 7, x[:, ::2]):
+        before = state.copy()
+        got = lorenz96_propagate(state, cfg)
+        assert np.array_equal(got, models._euler_numpy(np.asarray(state, float), 400, 0.001, 8.0))
+        assert np.array_equal(state, before)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_divergence_is_raised_on_either_path(compiled, monkeypatch):
+    if compiled and _KERNEL is None:
+        pytest.skip("the C kernel could not be built here")
+    if not compiled:
+        monkeypatch.setattr(models, "_l96_kernel", lambda: None)
+    # one diverging column among BLOCK + 1 finite ones, in the second block
+    x = np.random.default_rng(8).standard_normal((4, BLOCK + 2))
+    x[:, -1] = [1e100, -1e100, 1e100, 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            lorenz96_propagate(x, Lorenz96Config(q=4), 0.01)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_is_the_path_taken_when_a_compiler_exists(monkeypatch):
+    assert _KERNEL is not None
+
+    def numpy_loop(*args):
+        raise AssertionError("the numpy loop ran although the kernel is built")
+
+    monkeypatch.setattr(models, "_euler_numpy", numpy_loop)
+    lorenz96_propagate(np.zeros(40), Lorenz96Config())
+
+
+_CHILD = """
+import hashlib, sys
+import numpy as np
+from enkpf import Lorenz96Config, lorenz96_propagate, models
+x = np.random.default_rng(9).standard_normal((40, 401))
+out = lorenz96_propagate(x, Lorenz96Config())
+print(models._l96_kernel() is not None, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def _package_copy(tmp_path):
+    root = tmp_path / "site"
+    shutil.copytree(_SOURCE.parent, root / "enkpf", ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _expected_digest():
+    x = np.random.default_rng(9).standard_normal((40, 401))
+    return hashlib.sha256(models._euler_numpy(x, 400, 0.001, 8.0).tobytes()).hexdigest()
+
+
+def _start_child(root, **env):
+    env = dict(os.environ, PYTHONPATH=str(root), **env)
+    return subprocess.Popen([sys.executable, "-c", _CHILD], env=env, stdout=subprocess.PIPE,
+                            text=True)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_concurrent_first_builds_each_load_the_kernel(tmp_path):
+    # two processes find an empty __pycache__ and compile at once; each
+    # publishes with os.replace, so both load a complete library
+    root = _package_copy(tmp_path)
+    children = [_start_child(root) for _ in range(2)]
+    outputs = [child.communicate()[0].split() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs == [["True", _expected_digest()]] * 2
+    cache = root / "enkpf" / "__pycache__"
+    assert len(list(cache.glob("_l96-*.so"))) == 1
+    assert not list(cache.glob("_l96-*.tmp"))
+
+
+@pytest.mark.parametrize("broken", ["source", "compiler", "cache_directory"])
+def test_numpy_loop_runs_where_the_kernel_cannot_be_built(tmp_path, broken):
+    root = _package_copy(tmp_path)
+    env = {}
+    if broken == "source":
+        (root / "enkpf" / "_l96.c").write_text("this is not C\n")
+    elif broken == "compiler":
+        env["PATH"] = str(tmp_path)  # no compiler to be found
+    else:
+        # a file where __pycache__ belongs: the library cannot be written,
+        # as in a read-only install
+        (root / "enkpf" / "__pycache__").write_text("")
+    child = _start_child(root, **env)
+    output = child.communicate()[0].split()
+    assert child.returncode == 0
+    assert output == ["False", _expected_digest()]
 
 
 def test_propagate_accepts_ensembles():
