@@ -147,9 +147,12 @@ def tapered_covariance(ens: Ensemble, spec: TaperSpec) -> MomentEstimate:
     """Sample moments with the covariance multiplied elementwise by the taper.
 
     The Schur product of the PSD sample covariance with a PSD taper stays
-    PSD, and the unit taper diagonal leaves variances untouched.
+    PSD, and the unit taper diagonal leaves variances untouched. A sample
+    covariance that overflowed raises np.linalg.LinAlgError, which names it.
     """
     mom = sample_moments(ens)
+    if not np.isfinite(mom.cov).all():
+        raise np.linalg.LinAlgError("forecast covariance is not finite")
     if spec.kind == "none":
         return mom
     return MomentEstimate(mean=mom.mean, cov=mom.cov * taper_matrix(spec, ens.q))

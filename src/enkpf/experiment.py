@@ -9,6 +9,8 @@ cycle; an aborted run leaves a valid prefix on disk.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import time
 import typing
@@ -20,6 +22,7 @@ import numpy as np
 
 from .blas import single_thread
 from .bridge import UpdateDiagnostics, enkf_update, enkpf_update, pf_update
+from .compiled import load as load_library
 from .ensemble import Ensemble, TaperSpec, sample_moments, tapered_covariance
 from .errors import DivergenceError
 from .gamma import GammaPolicy, weight_variance_asymptotic
@@ -473,29 +476,98 @@ def write_matrix_csv(target, matrix: np.ndarray):
     """(q, N) matrix as CSV: first line 'q,N', then q comma-separated rows.
 
     `target` is a path or an open text stream, as for every writer here.
+    Every value is written as '%.17g' % v. The formatter of _csv.c does
+    that where it builds, into one buffer that goes to the stream's binary
+    layer when it has one; otherwise each row is %-formatted in Python,
+    with the same bytes.
     """
     matrix = np.asarray(matrix, dtype=float)
     q, n = matrix.shape
-    # one %-format per row of Python floats writes _fmt's digits without a
-    # format call per numpy scalar, which took half the writer's time
-    row_format = ",".join(["%.17g"] * n) + "\n"
+    format_body = _csv_formatter()
     with _text_out(target) as fh:
         fh.write(f"{q},{n}\n")
-        for row in matrix:
-            fh.write(row_format % tuple(row.tolist()))
+        if format_body is None:
+            _write_rows(fh, matrix)
+            return
+        body = format_body(matrix)
+        if hasattr(fh, "buffer"):
+            fh.flush()
+            fh.buffer.write(body)
+        else:
+            fh.write(str(body, "ascii"))
+
+
+def _write_rows(fh, matrix):
+    """The Python path of write_matrix_csv, and the reference the compiled
+    formatter is tested against."""
+    # one %-format per row of Python floats writes _fmt's digits without a
+    # format call per numpy scalar, which took half the writer's time
+    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    for row in matrix:
+        fh.write(row_format % tuple(row.tolist()))
+
+
+@functools.cache
+def _csv_formatter():
+    """csv_format of _csv.c as a function from a (q, N) matrix to a
+    memoryview of its CSV body, or None where it cannot be built or loaded
+    (see enkpf.compiled)."""
+    dll = load_library("_csv")
+    if dll is None:
+        return None
+    fmt, width = dll.csv_format, ctypes.c_long.in_dll(dll, "csv_field_max").value
+    fmt.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    fmt.restype = ctypes.c_long
+
+    def format_body(matrix):
+        x = np.ascontiguousarray(matrix, dtype=np.float64)
+        q, n = x.shape
+        buf = np.empty(width * x.size, np.uint8)
+        size = fmt(x.ctypes.data, q, n, buf.ctypes.data)
+        return memoryview(buf)[:size]
+
+    return format_body
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """The matrix write_matrix_csv wrote at `path`. Every error names the
+    path, and one in a body line names that line as well."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:
             q, n = (int(v) for v in header.split(","))
         except ValueError as err:
-            raise ValueError(f"bad matrix header {header!r}") from err
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            raise ValueError(f"{path}: bad matrix header {header!r}") from err
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}{_refused_line(path)}: {err}") from err
     if data.shape != (q, n):
-        raise ValueError(f"matrix body {data.shape} does not match header ({q}, {n})")
+        raise ValueError(f"{path}: matrix body {data.shape} does not match header ({q}, {n})")
     return data
+
+
+def _refused_line(path) -> str:
+    """', line k' for the first body line of a matrix CSV that np.loadtxt
+    refuses, as far as Python's float tells: one with a value that is not a
+    number, or with another number of values than the first body line.
+    Blank lines and '#' comments are skipped as np.loadtxt skips them."""
+    width = None
+    with open(path) as fh:
+        next(fh)
+        for number, line in enumerate(fh, 2):
+            text = line.split("#")[0]
+            if not text.strip():
+                continue
+            cells = text.split(",")
+            width = width or len(cells)
+            try:
+                values = [float(cell) for cell in cells]
+            except ValueError:
+                values = []
+            if len(values) != width:
+                return f", line {number}"
+    return ""
 
 
 def read_cycles_csv(path) -> list[CycleRecord]:

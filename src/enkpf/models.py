@@ -9,18 +9,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .compiled import load as load_library
 from .ensemble import Ensemble
 from .errors import DivergenceError
 from .schema import check_fields
@@ -131,43 +124,12 @@ def lorenz96_propagate(state, cfg: Lorenz96Config, duration: float | None = None
     return _wrap(out, form)
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_l96.c")
-# no -ffast-math and no FMA contraction: either would change bits; no
-# -march=native: the cached library must run on any CPU of its architecture
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-
-
 @functools.cache
 def _l96_kernel():
     """The Euler loop of _l96.c as a drop-in for _euler_numpy, or None where
-    the kernel cannot be built or loaded.
-
-    Built on first use with the system C compiler into __pycache__ next to
-    the source, named by a hash of the source and the compile command. The
-    compiler writes a temporary file that os.replace publishes, so
-    processes building at once each load a complete library.
-    """
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        cc = ["cc"]
-    command = [*cc, *_KERNEL_FLAGS]
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-        digest = hashlib.sha256(source + " ".join(command).encode()).hexdigest()[:16]
-        lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_l96-{digest}.so"
-        if not lib.exists():
-            lib.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix="_l96-", dir=lib.parent)
-            os.close(fd)
-            try:
-                subprocess.run([*command, "-o", tmp, str(_KERNEL_SOURCE)],
-                               check=True, capture_output=True)
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        dll = ctypes.CDLL(str(lib))
-    except (OSError, subprocess.SubprocessError):
+    the kernel cannot be built or loaded (see enkpf.compiled)."""
+    dll = load_library("_l96")
+    if dll is None:
         return None
     kernel, block = dll.l96_euler, ctypes.c_long.in_dll(dll, "l96_block").value
     c_long, c_double, c_void_p = ctypes.c_long, ctypes.c_double, ctypes.c_void_p

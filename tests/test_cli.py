@@ -192,6 +192,21 @@ def _huge_forecast(tmp_path):
     return ens_csv, obs_csv
 
 
+def _overflowing_forecast(tmp_path):
+    ens_csv, obs_csv = _write_update_inputs(tmp_path)
+    signs = np.sign(read_matrix_csv(ens_csv))
+    write_matrix_csv(ens_csv, 1e308 * signs)
+    return ens_csv, obs_csv
+
+
+def _ragged_ensemble(tmp_path):
+    ens_csv, obs_csv = _write_update_inputs(tmp_path)
+    lines = ens_csv.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    ens_csv.write_text("\n".join(lines) + "\n")
+    return ens_csv, obs_csv
+
+
 def _short_body(tmp_path):
     ens_csv, obs_csv = _write_update_inputs(tmp_path)
     lines = ens_csv.read_text().splitlines()
@@ -233,7 +248,9 @@ def _bad_gamma(text):
 @pytest.mark.parametrize(
     "make_inputs, gamma, expected",
     [
-        (_huge_forecast, "0.5", "infs or NaNs"),
+        (_huge_forecast, "0.5", "forecast covariance is not finite"),
+        (_overflowing_forecast, "0.5", "forecast covariance is not finite"),
+        (_ragged_ensemble, "0.5", "ens.csv, line 3: the number of columns changed from 25 to 24"),
         (_short_body, "0.5", "does not match header"),
         (_two_field_obs_row, "0.5", "malformed observation row"),
         (_missing_obs, "0.5", "no_such_obs.csv"),
@@ -254,6 +271,8 @@ def _bad_gamma(text):
     ],
     ids=[
         "huge_forecast",
+        "overflowing_forecast",
+        "ragged_ensemble",
         "short_body",
         "two_field_obs_row",
         "missing_obs",

@@ -240,6 +240,27 @@ def test_truth_divergence_leaves_valid_prefix(tmp_path, monkeypatch):
     assert len(read_cycles_csv(tmp_path / "boom" / "cycles.csv")) == len(lines) - 1 < 5
 
 
+def test_overflowing_covariance_ends_the_run_as_a_divergence(monkeypatch):
+    # finite forecasts whose sample covariance overflows: the check where
+    # the covariance is formed names it, and the loop makes it a divergence
+    propagate = enkpf.experiment.lorenz96_propagate
+
+    def blown(state, *args):
+        return 1e200 * propagate(state, *args)
+
+    monkeypatch.setattr(enkpf.experiment, "lorenz96_propagate", blown)
+    cfg = ExperimentConfig(
+        model=Lorenz96Config(q=8, lead_time=0.05),
+        ensemble_size=10,
+        cycles=3,
+        observation=ObservationScheme(noise_variance=0.5),
+        seed=1,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="cycle 1: forecast covariance is not finite"):
+            run_experiment(cfg)
+
+
 def test_summarize_constant_scores():
     recs = [CycleRecord(i + 1, 0.1 * i, 1.0, 1.0, 1.0, 2.5, 2.5, 2.5, 0.0) for i in range(7)]
     for row in summarize(recs):

@@ -188,8 +188,8 @@ def _start_child(root, **env):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_concurrent_first_builds_each_load_the_kernel(tmp_path):
-    # two processes find an empty __pycache__ and compile at once; each
-    # publishes with os.replace, so both load a complete library
+    # two processes find an empty __pycache__ at once; the build lock lets
+    # one compile and publish with os.replace, and both load the library
     root = _package_copy(tmp_path)
     children = [_start_child(root) for _ in range(2)]
     outputs = [child.communicate()[0].split() for child in children]
