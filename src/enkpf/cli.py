@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import get_args
@@ -38,7 +39,10 @@ from .observation import LinearGaussianObservation
 from .rng import RngNode
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call of a process:
+    building it takes several times as long as a parse."""
     parser = argparse.ArgumentParser(prog="enkpf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,5 +1,5 @@
 """Builds and loads the package's C helpers: _l96.c, the Lorenz-96 Euler
-loop, and _csv.c, the matrix-CSV formatter.
+loop, and _csv.c, the matrix-CSV formatter and parser.
 
 Nothing is built at import: each caller loads its library on first use,
 once per process, and runs its Python path where it gets None.
@@ -34,10 +34,7 @@ def load(stem: str) -> ctypes.CDLL | None:
     publishes. After publishing, the builder deletes the <stem> libraries
     of other digests and the temporary files of killed builds.
     """
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        cc = ["cc"]
-    command = [*cc, *_FLAGS]
+    command = compile_command()
     source = Path(__file__).with_name(f"{stem}.c")
     try:
         import fcntl
@@ -53,6 +50,15 @@ def load(stem: str) -> ctypes.CDLL | None:
         return ctypes.CDLL(str(lib))
     except (ImportError, OSError, subprocess.SubprocessError):
         return None
+
+
+def compile_command() -> list[str]:
+    """The compiler and flags every library is built with, before the
+    output and source arguments: Python's configured CC, else cc."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        cc = ["cc"]
+    return [*cc, *_FLAGS]
 
 
 def _build(command, source: Path, lib: Path):

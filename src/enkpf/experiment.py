@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import re
 import time
 import typing
 from contextlib import contextmanager
@@ -531,7 +532,68 @@ def _csv_formatter():
 
 def read_matrix_csv(path) -> np.ndarray:
     """The matrix write_matrix_csv wrote at `path`. Every error names the
-    path, and one in a body line names that line as well."""
+    path, and one in a body line names that line as well.
+
+    The parser of _csv.c reads a body in the form the writer gives it:
+    q lines of N values, each '[-+]?(d+(.d*)?|.d+)([eE][-+]?d+)?', with ','
+    between values and '\n' after each line. Anything else (spaces,
+    comments, blank lines, CRLF, inf or nan, another shape), and every
+    input where it cannot be built, goes to np.loadtxt, which reads the
+    same values bitwise and raises every error.
+    """
+    parse_body = _csv_parser()
+    if parse_body is not None:
+        with open(path, "rb") as fh:
+            text = fh.read()
+        header = _STRICT_HEADER.match(text)
+        if header is not None:
+            data = parse_body(text, header.end(), int(header[1]), int(header[2]))
+            if data is not None:
+                return data
+    return _read_rows(path)
+
+
+_STRICT_HEADER = re.compile(rb"(\d+),(\d+)\n")
+_TOKEN = re.compile(rb"[^,\n]*")
+_OFFSET_BITS = np.uint64(2**51 - 1)
+
+
+@functools.cache
+def _csv_parser():
+    """csv_parse of _csv.c as a function of the file's bytes, the offset of
+    the body and the header's (q, N) that gives the (q, N) matrix, or None
+    where the body is not in the parser's form; or None itself where _csv.c
+    cannot be built or loaded (see enkpf.compiled)."""
+    dll = load_library("_csv")
+    if dll is None:
+        return None
+    parse = dll.csv_parse
+    parse.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    parse.restype = ctypes.c_long
+
+    def parse_body(text, start, q, n):
+        body = np.frombuffer(text, np.uint8, offset=start)
+        if not 0 < 2 * q * n <= body.size:  # every value takes two bytes or more
+            return None
+        data = np.empty((q, n))
+        slow = parse(body.ctypes.data, body.size, q, n, data.ctypes.data)
+        if slow < 0:
+            return None
+        if slow:
+            # a value outside the parser's exact tiers is a NaN whose low
+            # 51 bits give the offset of its text in the body
+            flat = data.reshape(-1)
+            bits = flat.view(np.uint64)
+            for k in np.flatnonzero(np.isnan(flat)):
+                flat[k] = float(_TOKEN.match(text, start + int(bits[k] & _OFFSET_BITS))[0])
+        return data
+
+    return parse_body
+
+
+def _read_rows(path) -> np.ndarray:
+    """The np.loadtxt path of read_matrix_csv, and the reference the
+    compiled parser is tested against."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:
@@ -541,10 +603,28 @@ def read_matrix_csv(path) -> np.ndarray:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
-            raise ValueError(f"{path}{_refused_line(path)}: {err}") from err
+            raise ValueError(_refusal(path, err)) from err
     if data.shape != (q, n):
         raise ValueError(f"{path}: matrix body {data.shape} does not match header ({q}, {n})")
     return data
+
+
+# numpy's place of a refused value, ' at row k, column c.' at the end, or of
+# a ragged row, ' at row k' before '; '; its row counts data rows, from 0 in
+# the first and from 1 in the second
+_NUMPY_ROW = re.compile(r" at row \d+(?:, column (\d+)\.$|(?=; ))")
+
+
+def _refusal(path, err) -> str:
+    """np.loadtxt's message `err` about the body of `path`, placed at the
+    file line and, where numpy names it, the (1-based) column."""
+    message, line = str(err), _refused_line(path)
+    numpy_row = _NUMPY_ROW.search(message)
+    if line and numpy_row:
+        message = message[: numpy_row.start()] + message[numpy_row.end() :]
+        if numpy_row[1]:
+            line += f", column {numpy_row[1]}"
+    return f"{path}{line}: {message}"
 
 
 def _refused_line(path) -> str:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "LinearGaussianObservation",
@@ -116,10 +117,22 @@ class LinearGaussianObservation:
         return self._chol_R @ gen.standard_normal((self.r, n))
 
 
+def _cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the lower triangle of `a`, from LAPACK's
+    dpotrf without scipy.linalg's wrapper and its finiteness check (the
+    callers' inputs are finite), which took much of a small solve's time."""
+    factor, info = dpotrf(a, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return factor
+
+
 def gaussian_innovation_loglik(diffs: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """log N(diffs_j; 0, cov) for each column of the (r, n) matrix diffs."""
-    L = cholesky(cov, lower=True)
-    z = solve_triangular(L, diffs, lower=True)
+    L = _cholesky_lower(cov)
+    z, _ = dtrtrs(L, diffs, lower=1)  # L's diagonal is positive: no singular case
     quad = np.einsum("ij,ij->j", z, z)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     r = cov.shape[0]
@@ -148,8 +161,8 @@ def kalman_gain(P: np.ndarray, obs: LinearGaussianObservation) -> np.ndarray:
     """K = P H' (H P H' + R)^{-1} via a Cholesky solve of the r x r system."""
     pht = obs.p_ht(P)
     s = obs.hp_ht(P) + obs.R
-    factor = cho_factor(0.5 * (s + s.T), lower=True)
-    return cho_solve(factor, pht.T).T
+    gain_t, _ = dpotrs(_cholesky_lower(0.5 * (s + s.T)), pht.T, lower=1)
+    return gain_t.T
 
 
 def scaled_gain(P: np.ndarray, obs: LinearGaussianObservation, gamma: float) -> np.ndarray:

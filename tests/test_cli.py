@@ -339,6 +339,43 @@ def test_console_script_update_edge_cases(tmp_path, capsys, states, obs_rows, ga
     assert check is None or check(analysis, states)
 
 
+@pytest.mark.parametrize("gamma", ["1", "auto"])
+def test_console_script_reports_a_singular_innovation_covariance(tmp_path, capsys, gamma):
+    # the first component's spread is exactly 1 and it is observed twice with
+    # a noise variance below its rounding, so H P H' + R = [[1, 1], [1, 1]]
+    write_matrix_csv(tmp_path / "ens.csv", np.array([[-1.0, 0.0, 1.0], [0.3, 0.1, -0.2]]))
+    (tmp_path / "obs.csv").write_text(
+        "component,value,noise_variance\n1,0.0,1e-300\n1,0.0,1e-300\n"
+    )
+    argv = ["update", "--ensemble", str(tmp_path / "ens.csv"), "--obs", str(tmp_path / "obs.csv"),
+            "--gamma", gamma]
+    assert console_main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line == "enkpf: 2-th leading minor of the array is not positive definite"
+    assert captured.out == ""
+
+
+def test_parser_is_reused_and_each_parse_stands_alone(tmp_path):
+    from enkpf.cli import _build_parser
+
+    ens_csv, obs_csv = _write_update_inputs(tmp_path)
+    update = ["update", "--ensemble", str(ens_csv), "--obs", str(obs_csv), "--gamma", "0.5"]
+    assert main([*update, "--seed", "3", "--out", str(tmp_path / "seed3.csv")]) == 0
+    with pytest.raises(SystemExit) as refused:
+        main([*update, "--taper", "no_such_taper"])
+    assert refused.value.code == 2
+    # no --seed: the default 0 comes back, not the first call's 3
+    assert main([*update, "--out", str(tmp_path / "default.csv")]) == 0
+    assert main([*update, "--seed", "0", "--out", str(tmp_path / "seed0.csv")]) == 0
+    default = (tmp_path / "default.csv").read_bytes()
+    assert default == (tmp_path / "seed0.csv").read_bytes() != (tmp_path / "seed3.csv").read_bytes()
+    args = _build_parser().parse_args(["summarize", "--in", "cycles.csv"])
+    assert (args.command, args.infile, args.out) == ("summarize", "cycles.csv", None)
+    assert not hasattr(args, "seed")
+    assert _build_parser() is _build_parser()
+
+
 def test_console_script_runs_kdv_without_dealiasing(tmp_path, capsys):
     payload = {
         "model": {"kind": "kdv", "dealias": False},

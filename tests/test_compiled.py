@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import enkpf
+from enkpf import compiled
 
 PACKAGE = Path(enkpf.__file__).resolve().parent
 
@@ -40,3 +41,12 @@ def test_every_c_source_ships_with_the_package():
     package_data = pyproject["tool"]["setuptools"]["package-data"]["enkpf"]
     sources = sorted(path.name for path in PACKAGE.glob("_*.c"))
     assert sources and set(sources) <= set(package_data)
+
+
+@pytest.mark.skipif(shutil.which(compiled.compile_command()[0]) is None, reason="no C compiler")
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.c")), ids=lambda path: path.name)
+def test_c_sources_compile_without_warnings(source, tmp_path):
+    command = [*compiled.compile_command(), "-Wall", "-Wextra", "-Werror"]
+    build = subprocess.run([*command, "-o", str(tmp_path / "lib.so"), str(source)],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr

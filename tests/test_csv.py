@@ -1,6 +1,8 @@
 """write_matrix_csv writes every value as '%.17g' % v, through the compiled
-formatter of _csv.c and through the Python fallback alike."""
+formatter of _csv.c and through the Python fallback alike; read_matrix_csv
+reads through the parser of _csv.c exactly what np.loadtxt reads."""
 
+import ctypes
 import io
 import shutil
 import sys
@@ -89,3 +91,150 @@ def test_compiled_formatter_is_the_path_taken_when_a_compiler_exists(monkeypatch
 
     monkeypatch.setattr(experiment, "_write_rows", python_rows)
     assert _written(np.eye(2)) == b"2,2\n1,0\n0,1\n"
+
+
+# read_matrix_csv: the parser of _csv.c against the np.loadtxt path
+
+_PARSER = experiment._csv_parser()
+needs_parser = pytest.mark.skipif(_PARSER is None, reason="_csv.c could not be built here")
+
+
+def _compiled_read(text: bytes) -> np.ndarray:
+    header = experiment._STRICT_HEADER.match(text)
+    data = _PARSER(text, header.end(), int(header[1]), int(header[2]))
+    assert data is not None, "the compiled parser refused the body"
+    return data
+
+
+def _loadtxt_read(text: bytes, tmp_path) -> np.ndarray:
+    path = tmp_path / "reference.csv"
+    path.write_bytes(text)
+    return experiment._read_rows(path)
+
+
+def _assert_bitwise_equal(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _body(tokens, width=None) -> bytes:
+    width = width or len(tokens)
+    rows = [",".join(tokens[i : i + width]) for i in range(0, len(tokens), width)]
+    return f"{len(rows)},{width}\n".encode() + "".join(row + "\n" for row in rows).encode()
+
+
+def _finite_edges() -> np.ndarray:
+    edges = _edge_values()
+    return edges[np.isfinite(edges)]
+
+
+@needs_parser
+def test_parser_reads_random_bit_patterns_as_loadtxt_does(tmp_path):
+    words = np.random.default_rng(7).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    matrix = _bits(words).reshape(250, 400)
+    matrix[~np.isfinite(matrix)] = 0.0  # the writer's inf and nan are fallback-only
+    text = _written(matrix)
+    got = _compiled_read(text)
+    _assert_bitwise_equal(got, _loadtxt_read(text, tmp_path))
+    _assert_bitwise_equal(got, matrix)
+
+
+@needs_parser
+def test_parser_reads_edge_values_as_loadtxt_does(tmp_path):
+    text = _written(_finite_edges()[None, :])
+    _assert_bitwise_equal(_compiled_read(text), _loadtxt_read(text, tmp_path))
+
+
+_SPELLINGS = [".5", "5.", "+1", "-1", "1E+05", "1e-05", "+.5E5", "-0", "-0.0", "0e999", "007.50",
+              "00000.000012345", "9007199254740993", "1125899906842624.125",
+              "1234567890123456789", "12345678901234567890000", "1234567890123456789e-40",
+              "0.1234567890123456789", "9999999999999999999", "18446744073709551615"]
+
+
+@needs_parser
+@pytest.mark.parametrize("form", [f"%.{k}g" for k in range(1, 21)] + ["repr"])
+def test_parser_reads_every_width_as_loadtxt_does(form, tmp_path):
+    gen = np.random.default_rng(8)
+    values = np.concatenate([_finite_edges(),
+                             gen.standard_normal(2000) * 10.0 ** gen.uniform(-40, 40, 2000)])
+    tokens = [repr(v) if form == "repr" else form % v for v in values.tolist()]
+    text = _body(tokens + _SPELLINGS)
+    _assert_bitwise_equal(_compiled_read(text), _loadtxt_read(text, tmp_path))
+
+
+# beyond the exact tiers: a nonzero digit after the 19th significant one, or
+# an exponent outside them; each is read by Python's float
+_SLOW = ["0.10000000000000000555", "12345678901234567891", "1e-400", "1e400", "-1e400",
+         "2.2250738585072009e-308", "4.9406564584124654e-324", "1.7976931348623157e308",
+         "1e-32", "123e99999999999999"]
+
+
+@needs_parser
+def test_values_beyond_the_exact_tiers_take_the_slow_tier(tmp_path):
+    from enkpf.compiled import load
+
+    parse = load("_csv").csv_parse
+    parse.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    parse.restype = ctypes.c_long
+    body = (",".join(["1.5", *_SLOW, "-2"]) + "\n").encode()
+    out = np.empty(len(_SLOW) + 2)
+    assert parse(body, len(body), 1, out.size, out.ctypes.data) == len(_SLOW)
+    text = _body(["1.5", *_SLOW, "-2"])
+    _assert_bitwise_equal(_compiled_read(text), _loadtxt_read(text, tmp_path))
+
+
+# bodies only np.loadtxt reads; read_matrix_csv gives what np.loadtxt gives
+_FALLBACK_ONLY = {
+    "spaces": "2,2\n1, 2\n 3,4 \n",
+    "comment": "2,2\n1,2 # first\n# between\n3,4\n",
+    "blank_line": "2,2\n1,2\n\n3,4\n",
+    "crlf": "2,2\r\n1,2\r\n3,4\r\n",
+    "inf_nan": "2,2\ninf,-inf\nnan,1\n",
+    "no_final_newline": "2,2\n1,2\n3,4",
+    "header_spaces": " 2, 2\n1,2\n3,4\n",
+}
+
+
+@pytest.mark.parametrize("text", _FALLBACK_ONLY.values(), ids=_FALLBACK_ONLY.keys())
+def test_inputs_only_loadtxt_accepts_read_as_before(text, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    _assert_bitwise_equal(read_matrix_csv(path), experiment._read_rows(path))
+
+
+_BAD_BODIES = {
+    "bad_value": ("3,3\n1,2,3\n4,x,6\n7,8,9\n",
+                  "bad.csv, line 3, column 2: could not convert string 'x' to float64"),
+    "ragged": ("3,3\n1,2,3\n4,5\n7,8,9\n",
+               "ragged.csv, line 3: the number of columns changed from 3 to 2;"),
+    "short": ("3,3\n1,2,3\n4,5,6\n", "does not match header (3, 3)"),
+    "long": ("1,3\n1,2,3\n4,5,6\n", "does not match header (1, 3)"),
+    "wider": ("2,2\n1,2,3\n4,5,6\n", "does not match header (2, 2)"),
+    "header": ("3;3\n1,2,3\n", "bad matrix header '3;3'"),
+    "empty_value": ("1,3\n1,,3\n", "line 2, column 2: could not convert string ''"),
+    "huge_header": ("99999999999,99999999999\n1\n", "does not match header"),
+}
+
+
+@pytest.mark.parametrize("text, expected", _BAD_BODIES.values(), ids=_BAD_BODIES.keys())
+def test_every_error_reads_as_without_the_parser(text, expected, tmp_path, monkeypatch):
+    name = "ragged.csv" if "ragged" in expected else "bad.csv"
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as compiled:
+        read_matrix_csv(path)
+    monkeypatch.setattr(experiment, "_csv_parser", lambda: None)
+    with pytest.raises(ValueError) as fallback:
+        read_matrix_csv(path)
+    assert str(compiled.value) == str(fallback.value)
+    assert expected in str(compiled.value) and "at row" not in str(compiled.value)
+
+
+@needs_parser
+def test_compiled_parser_is_the_path_taken_when_it_builds(tmp_path, monkeypatch):
+    def loadtxt_rows(*args):
+        raise AssertionError("np.loadtxt ran although _csv.c is built")
+
+    monkeypatch.setattr(experiment, "_read_rows", loadtxt_rows)
+    write_matrix_csv(tmp_path / "m.csv", np.eye(3) * 0.1)
+    assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), np.eye(3) * 0.1)
