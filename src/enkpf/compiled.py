@@ -18,7 +18,9 @@ import tempfile
 from pathlib import Path
 
 # no -ffast-math and no FMA contraction: either would change bits; no
-# -march=native: the cached library must run on any CPU of its architecture
+# -march=native: the cached library must run on any CPU of its architecture,
+# and per-function target clones (see _l96.c) use the wider vector units
+# where the CPU has them
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 

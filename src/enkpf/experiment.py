@@ -629,9 +629,9 @@ def _refusal(path, err) -> str:
 
 def _refused_line(path) -> str:
     """', line k' for the first body line of a matrix CSV that np.loadtxt
-    refuses, as far as Python's float tells: one with a value that is not a
-    number, or with another number of values than the first body line.
-    Blank lines and '#' comments are skipped as np.loadtxt skips them."""
+    refuses: one with a value that is not a number, or with another number
+    of values than the first body line. Blank lines and '#' comments are
+    skipped as np.loadtxt skips them."""
     width = None
     with open(path) as fh:
         next(fh)
@@ -641,13 +641,23 @@ def _refused_line(path) -> str:
                 continue
             cells = text.split(",")
             width = width or len(cells)
-            try:
-                values = [float(cell) for cell in cells]
-            except ValueError:
-                values = []
-            if len(values) != width:
+            if len(cells) != width or not all(map(_loadtxt_reads, cells)):
                 return f", line {number}"
     return ""
+
+
+def _loadtxt_reads(cell: str) -> bool:
+    """Whether np.loadtxt reads `cell` as a float: Python's float reads it
+    without its surrounding whitespace, and it is ASCII without '_' (float
+    also takes non-ASCII digits and '_' between digits; numpy does not)."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def read_cycles_csv(path) -> list[CycleRecord]:

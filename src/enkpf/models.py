@@ -139,7 +139,9 @@ def _l96_kernel():
     def euler(x, steps, dt, forcing):
         out = np.array(x, dtype=np.float64, order="C")
         q, m = out.shape
-        work = np.empty(2 * q * block)
+        # two (q, block) slabs, plus the 64 bytes the kernel may skip to
+        # start them on a cache line
+        work = np.empty(2 * q * block + 8)
         kernel(out.ctypes.data, q, m, steps, dt, forcing, work.ctypes.data)
         return out
 

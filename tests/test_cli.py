@@ -207,6 +207,21 @@ def _ragged_ensemble(tmp_path):
     return ens_csv, obs_csv
 
 
+def _ensemble_cell(cell):
+    """Inputs whose forecast has `cell` in column 2 of body line 3."""
+
+    def make_inputs(tmp_path):
+        ens_csv, obs_csv = _write_update_inputs(tmp_path)
+        lines = ens_csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = cell
+        lines[2] = ",".join(cells)
+        ens_csv.write_text("\n".join(lines) + "\n")
+        return ens_csv, obs_csv
+
+    return make_inputs
+
+
 def _short_body(tmp_path):
     ens_csv, obs_csv = _write_update_inputs(tmp_path)
     lines = ens_csv.read_text().splitlines()
@@ -252,6 +267,11 @@ def _bad_gamma(text):
         (_overflowing_forecast, "0.5", "forecast covariance is not finite"),
         (_ragged_ensemble, "0.5", "ens.csv, line 3: the number of columns changed from 25 to 24"),
         (_short_body, "0.5", "does not match header"),
+        # Python's float reads both cells, np.loadtxt neither
+        (_ensemble_cell("1_0"), "0.5",
+         "ens.csv, line 3, column 2: could not convert string '1_0' to float64"),
+        (_ensemble_cell("\u0661"), "0.5",
+         "ens.csv, line 3, column 2: could not convert string '\u0661' to float64"),
         (_two_field_obs_row, "0.5", "malformed observation row"),
         (_missing_obs, "0.5", "no_such_obs.csv"),
         (_second_obs_row("1.5,0.4,0.25"), "0.5",
@@ -274,6 +294,8 @@ def _bad_gamma(text):
         "overflowing_forecast",
         "ragged_ensemble",
         "short_body",
+        "digit_separator",
+        "non_ascii_digit",
         "two_field_obs_row",
         "missing_obs",
         "fractional_component",

@@ -6,9 +6,12 @@ import ctypes
 import io
 import shutil
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkpf import experiment, read_matrix_csv, write_matrix_csv
 
@@ -238,3 +241,78 @@ def test_compiled_parser_is_the_path_taken_when_it_builds(tmp_path, monkeypatch)
     monkeypatch.setattr(experiment, "_read_rows", loadtxt_rows)
     write_matrix_csv(tmp_path / "m.csv", np.eye(3) * 0.1)
     assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), np.eye(3) * 0.1)
+
+
+# Generated bodies: values from the parser's grammar, then mutations that
+# take the body out of it, except +-1e308, which stays in it
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=22)
+_SIGN = st.sampled_from(["", "+", "-"])
+_FRACTION = st.text("0123456789", max_size=22).map(lambda digits: "." + digits)
+_GRAMMAR_VALUE = st.builds(
+    lambda sign, mantissa, exponent: sign + mantissa + exponent,
+    _SIGN,
+    st.one_of(  # d+(.d*)? or .d+
+        st.builds(lambda whole, fraction: whole + fraction, _DIGITS,
+                  st.one_of(st.just(""), _FRACTION)),
+        _DIGITS.map(lambda digits: "." + digits),
+    ),
+    st.one_of(st.just(""), st.builds(lambda e, sign, digits: e + sign + digits,
+                                     st.sampled_from("eE"), _SIGN,
+                                     st.text("0123456789", min_size=1, max_size=4))),
+)
+_WRITTEN_VALUE = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
+_MUTATIONS = ["space", "crlf", "underscore", "non_ascii_digit", "ragged", "huge", "inf_nan"]
+
+
+@st.composite
+def _bodies(draw):
+    """A matrix CSV and whether its body is in the parser's grammar."""
+    q, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cells = [draw(st.one_of(_GRAMMAR_VALUE, _WRITTEN_VALUE)) for _ in range(q * n)]
+    mutations = draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2))
+    newline = "\r\n" if "crlf" in mutations else "\n"
+    for kind in mutations:
+        k = draw(st.integers(0, q * n - 1))
+        if kind == "space":
+            cells[k] = draw(st.sampled_from([" " + cells[k], cells[k] + " "]))
+        elif kind == "underscore":
+            cells[k] = cells[k][:1] + "_" + cells[k][1:]
+        elif kind == "non_ascii_digit":
+            cells[k] += draw(st.sampled_from(["\u0661", "\uff11"]))
+        elif kind == "huge":
+            cells[k] = draw(st.sampled_from(["1e308", "-1e308"]))
+        elif kind == "inf_nan":
+            cells[k] = draw(st.sampled_from(["inf", "-inf", "nan", "+nan"]))
+    rows = [cells[i * n : (i + 1) * n] for i in range(q)]
+    if "ragged" in mutations:
+        row = rows[draw(st.integers(0, q - 1))]
+        row[:] = row[:-1] if n > 1 else row * 2
+    body = "".join(",".join(row) + newline for row in rows)
+    return f"{q},{n}\n{body}".encode(), set(mutations) <= {"huge"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "m.csv"
+
+
+@needs_parser
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_bodies())
+def test_generated_bodies_read_as_loadtxt_reads_them(fuzz_path, generated):
+    # read_matrix_csv gives np.loadtxt's values or raises its message, and a
+    # body in the grammar is read by the compiled parser itself
+    text, in_grammar = generated
+    fuzz_path.write_bytes(text)
+    if in_grammar:
+        _assert_bitwise_equal(_compiled_read(text), experiment._read_rows(fuzz_path))
+    try:
+        got = read_matrix_csv(fuzz_path)
+    except ValueError as err:
+        with mock.patch.object(experiment, "_csv_parser", lambda: None):
+            with pytest.raises(ValueError) as fallback:
+                read_matrix_csv(fuzz_path)
+        assert str(err) == str(fallback.value)
+    else:
+        _assert_bitwise_equal(got, experiment._read_rows(fuzz_path))

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import os
 import re
@@ -23,6 +24,7 @@ from enkpf import (
     lorenz96_initial,
     lorenz96_propagate,
 )
+from enkpf.compiled import compile_command, load
 
 
 def test_drift_equilibrium():
@@ -132,6 +134,87 @@ def test_kernel_takes_zero_steps_and_any_layout():
         got = lorenz96_propagate(state, cfg)
         assert np.array_equal(got, models._euler_numpy(np.asarray(state, float), 400, 0.001, 8.0))
         assert np.array_equal(state, before)
+
+
+# Each build of _l96.c the host can run: the shipped clones, whose resolver
+# picks one by CPUID, each target of the clone list alone, and the plain
+# build without the attribute, which compilers without clones produce
+_CLONE_LIST = re.search(r"__attribute__\(\(target_clones\(([^)]*)\)\)\)", _SOURCE.read_text())
+_TARGETS = [t for t in re.findall(r'"([^"]*)"', _CLONE_LIST[1]) if t != "default"]
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        flags = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    except OSError:
+        return set()
+    return set(flags[1].split()) if flags else set()
+
+
+def _raw_kernel(dll):
+    kernel = dll.l96_euler
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                       ctypes.c_double, ctypes.c_double, ctypes.c_void_p]
+    kernel.restype = None
+    return kernel
+
+
+@pytest.fixture(scope="module", params=["clones", *_TARGETS, "plain"])
+def build(request, tmp_path_factory):
+    if _KERNEL is None:
+        pytest.skip("the C kernel could not be built here")
+    if request.param == "clones":
+        return _raw_kernel(load("_l96"))
+    if request.param == "plain":
+        attribute = ""
+    else:
+        missing = set(request.param.split(",")) - _cpu_flags()
+        if missing:
+            pytest.skip(f"this CPU lacks {', '.join(sorted(missing))}")
+        attribute = f'__attribute__((target("{request.param}")))'
+    root = tmp_path_factory.mktemp(request.param.replace(",", "_"))
+    source = root / "_l96.c"
+    source.write_text(_SOURCE.read_text().replace(_CLONE_LIST[0], attribute))
+    subprocess.run([*compile_command(), "-o", str(root / "lib.so"), str(source)],
+                   check=True, capture_output=True)
+    return _raw_kernel(ctypes.CDLL(str(root / "lib.so")))
+
+
+def _run(kernel, x, work):
+    out = np.array(x, order="C")
+    q, m = out.shape
+    kernel(out.ctypes.data, q, m, 80, 0.001, 8.0, work.ctypes.data)
+    return out
+
+
+def _assert_bitwise_equal(got, expected):
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 401])
+@pytest.mark.parametrize("q", [4, 5, 40])
+def test_every_build_matches_numpy_loop_bitwise(build, q, m):
+    x = 3.0 * np.random.default_rng(q * 1000 + m).standard_normal((q, m))
+    got = _run(build, x, np.empty(2 * q * BLOCK + 8))
+    _assert_bitwise_equal(got, models._euler_numpy(x, 80, 0.001, 8.0))
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_every_build_aligns_its_slabs_inside_the_workspace(build, offset):
+    # the workspace starts `offset` doubles past a page boundary, so past a
+    # 64-byte one as well, and is fenced by guard values on both sides
+    q, m, guard = 40, BLOCK + 1, -7.25
+    size = 2 * q * BLOCK + 8
+    fenced = np.full(size + 1024, guard)
+    page = 8 + (-(fenced.ctypes.data + 64) % 4096) // 8
+    start = page + offset
+    x = 3.0 * np.random.default_rng(offset).standard_normal((q, m))
+    got = _run(build, x, fenced[start : start + size])
+    _assert_bitwise_equal(got, models._euler_numpy(x, 80, 0.001, 8.0))
+    written = np.flatnonzero(fenced != guard)
+    # the slabs start at the first 64-byte boundary and end inside the workspace
+    assert written[0] == (page + 8 if offset else page)
+    assert written[-1] < start + size
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
