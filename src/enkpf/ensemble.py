@@ -7,6 +7,7 @@ correlation matrix to suppress spurious long-range correlations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -155,4 +156,13 @@ def tapered_covariance(ens: Ensemble, spec: TaperSpec) -> MomentEstimate:
         raise np.linalg.LinAlgError("forecast covariance is not finite")
     if spec.kind == "none":
         return mom
-    return MomentEstimate(mean=mom.mean, cov=mom.cov * taper_matrix(spec, ens.q))
+    return MomentEstimate(mean=mom.mean, cov=mom.cov * _cached_taper(spec, ens.q))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_taper(spec: TaperSpec, q: int) -> np.ndarray:
+    """taper_matrix(spec, q), built once per (spec, q) and read-only, since
+    every cycle and request shares it."""
+    taper = taper_matrix(spec, q)
+    taper.flags.writeable = False
+    return taper

@@ -554,6 +554,10 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 _STRICT_HEADER = re.compile(rb"(\d+),(\d+)\n")
+# ASCII digits only, unlike int(), which also takes '1_0' and other scripts'
+# digits; spaces around each number are allowed, as np.loadtxt allows them
+# around a value
+_HEADER = re.compile(r"(\d+)\s*,\s*(\d+)", re.ASCII)
 _TOKEN = re.compile(rb"[^,\n]*")
 _OFFSET_BITS = np.uint64(2**51 - 1)
 
@@ -596,10 +600,10 @@ def _read_rows(path) -> np.ndarray:
     compiled parser is tested against."""
     with open(path) as fh:
         header = fh.readline().strip()
-        try:
-            q, n = (int(v) for v in header.split(","))
-        except ValueError as err:
-            raise ValueError(f"{path}: bad matrix header {header!r}") from err
+        shape = _HEADER.fullmatch(header)
+        if shape is None:
+            raise ValueError(f"{path}, line 1: bad matrix header {header!r}")
+        q, n = int(shape[1]), int(shape[2])
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:

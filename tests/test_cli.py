@@ -222,6 +222,17 @@ def _ensemble_cell(cell):
     return make_inputs
 
 
+def _ensemble_text(text):
+    """Inputs whose forecast file holds `text`."""
+
+    def make_inputs(tmp_path):
+        ens_csv, obs_csv = _write_update_inputs(tmp_path)
+        ens_csv.write_text(text)
+        return ens_csv, obs_csv
+
+    return make_inputs
+
+
 def _short_body(tmp_path):
     ens_csv, obs_csv = _write_update_inputs(tmp_path)
     lines = ens_csv.read_text().splitlines()
@@ -272,6 +283,11 @@ def _bad_gamma(text):
          "ens.csv, line 3, column 2: could not convert string '1_0' to float64"),
         (_ensemble_cell("\u0661"), "0.5",
          "ens.csv, line 3, column 2: could not convert string '\u0661' to float64"),
+        # int() reads both headers, as (10, 1) and (1, 1)
+        (_ensemble_text("1_0,1\n" + "1\n" * 10), "0.5",
+         "ens.csv, line 1: bad matrix header '1_0,1'"),
+        (_ensemble_text("\u0661,1\n1\n"), "0.5",
+         "ens.csv, line 1: bad matrix header '\u0661,1'"),
         (_two_field_obs_row, "0.5", "malformed observation row"),
         (_missing_obs, "0.5", "no_such_obs.csv"),
         (_second_obs_row("1.5,0.4,0.25"), "0.5",
@@ -296,6 +312,8 @@ def _bad_gamma(text):
         "short_body",
         "digit_separator",
         "non_ascii_digit",
+        "header_digit_separator",
+        "header_non_ascii_digit",
         "two_field_obs_row",
         "missing_obs",
         "fractional_component",

@@ -4,8 +4,12 @@ reads through the parser of _csv.c exactly what np.loadtxt reads."""
 
 import ctypes
 import io
+import os
 import shutil
+import subprocess
 import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf import experiment, read_matrix_csv, write_matrix_csv
+from enkpf.compiled import compile_command, load
 
 _COMPILED = experiment._csv_formatter()
 needs_compiled = pytest.mark.skipif(_COMPILED is None, reason="_csv.c could not be built here")
@@ -109,6 +114,15 @@ def _compiled_read(text: bytes) -> np.ndarray:
     return data
 
 
+def _raw_parse(body: bytes, q: int, n: int) -> tuple[int, np.ndarray]:
+    """csv_parse's return value for a bare body, and what it wrote."""
+    parse = load("_csv").csv_parse
+    parse.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    parse.restype = ctypes.c_long
+    out = np.empty((q, n))
+    return parse(body, len(body), q, n, out.ctypes.data), out
+
+
 def _loadtxt_read(text: bytes, tmp_path) -> np.ndarray:
     path = tmp_path / "reference.csv"
     path.write_bytes(text)
@@ -165,6 +179,49 @@ def test_parser_reads_every_width_as_loadtxt_does(form, tmp_path):
     _assert_bitwise_equal(_compiled_read(text), _loadtxt_read(text, tmp_path))
 
 
+def _midpoint_tokens(values) -> list[str]:
+    """For each double and the next one up, their exact midpoint rounded to
+    17 to 25 significant digits, and each of those +-1 in its last digit."""
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 1200  # every double and midpoint is exact
+        for lower in values.tolist():
+            mid = (Decimal(lower) + Decimal(np.nextafter(lower, np.inf))) / 2
+            for k in range(17, 26):
+                mantissa, exponent = f"{mid:.{k - 1}e}".split("e")
+                digits = int(mantissa.replace(".", ""))
+                tokens += [f"{digits + step}e{int(exponent) - k + 1}" for step in (-1, 0, 1)]
+    return tokens
+
+
+@needs_parser
+def test_parser_reads_decimals_near_midpoints_as_loadtxt_does(tmp_path):
+    # Where the decimal exponent is negative, the parser rounds from the 128
+    # leading bits of a product unless they fall within 2 units below one
+    # half, and divides exactly otherwise. Between 2^49 and 2^54 every
+    # midpoint has at most 19 significant digits, so those tokens hold
+    # exact ties, some padded with zeros to 25 digits.
+    gen = np.random.default_rng(9)
+    values = np.concatenate([np.abs(gen.standard_normal(150)) * 10.0 ** gen.uniform(-15, 18, 150),
+                             2.0 ** gen.uniform(49, 54, 100)])
+    text = _body(_midpoint_tokens(values), width=27)
+    _assert_bitwise_equal(_compiled_read(text), _loadtxt_read(text, tmp_path))
+
+
+@needs_parser
+def test_a_benchmark_style_forecast_takes_no_slow_value():
+    # as perfbench/cases.py builds an update_cli forecast: a smooth field
+    # around mean 2.3, sd 3.6, written with %.17g
+    gen = np.random.default_rng([0, 1208])
+    noise = gen.standard_normal((40, 400))
+    members = (2.3 + 3.6 * gen.standard_normal(40))[:, None] + (
+        noise + np.roll(noise, 1, axis=0) + np.roll(noise, -1, axis=0)) / np.sqrt(3)
+    body = "".join(",".join("%.17g" % v for v in row) + "\n" for row in members.tolist())
+    slow, data = _raw_parse(body.encode(), 40, 400)
+    assert slow == 0
+    _assert_bitwise_equal(data, members)
+
+
 # beyond the exact tiers: a nonzero digit after the 19th significant one, or
 # an exponent outside them; each is read by Python's float
 _SLOW = ["0.10000000000000000555", "12345678901234567891", "1e-400", "1e400", "-1e400",
@@ -174,14 +231,8 @@ _SLOW = ["0.10000000000000000555", "12345678901234567891", "1e-400", "1e400", "-
 
 @needs_parser
 def test_values_beyond_the_exact_tiers_take_the_slow_tier(tmp_path):
-    from enkpf.compiled import load
-
-    parse = load("_csv").csv_parse
-    parse.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
-    parse.restype = ctypes.c_long
     body = (",".join(["1.5", *_SLOW, "-2"]) + "\n").encode()
-    out = np.empty(len(_SLOW) + 2)
-    assert parse(body, len(body), 1, out.size, out.ctypes.data) == len(_SLOW)
+    assert _raw_parse(body, 1, len(_SLOW) + 2)[0] == len(_SLOW)
     text = _body(["1.5", *_SLOW, "-2"])
     _assert_bitwise_equal(_compiled_read(text), _loadtxt_read(text, tmp_path))
 
@@ -316,3 +367,90 @@ def test_generated_bodies_read_as_loadtxt_reads_them(fuzz_path, generated):
         assert str(err) == str(fallback.value)
     else:
         _assert_bitwise_equal(got, experiment._read_rows(fuzz_path))
+
+
+# The codec built with AddressSanitizer and UndefinedBehaviorSanitizer
+# (tests/csv_driver.c): each body, matrix and output sits in a heap block of
+# exactly its size, so a read of even one byte past a body (the eight-byte
+# digit scan) or a write past the reserved output ends the run.
+
+_SANITIZE = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
+_DRIVER = Path(__file__).with_name("csv_driver.c")
+
+
+def _sanitized_driver(tmp_path) -> Path:
+    cc = compile_command()
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run([cc[0], *_SANITIZE, "-o", str(tmp_path / "probe"), str(probe)],
+                      capture_output=True).returncode != 0:
+        pytest.skip("the compiler has no AddressSanitizer or UndefinedBehaviorSanitizer runtime")
+    flags = [flag for flag in cc[1:] if flag not in ("-shared", "-fPIC")]
+    driver = tmp_path / "csv_driver"
+    build = subprocess.run([cc[0], *flags, *_SANITIZE, "-Wall", "-Wextra", "-Werror", "-o", str(driver),
+                            str(_DRIVER), str(Path(experiment.__file__).with_name("_csv.c"))],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    return driver
+
+
+def _grammar_bodies(gen) -> list[tuple[bytes, int, int]]:
+    """Bodies in the parser's grammar whose last value has runs of 1 to 40
+    digits, so that a run ends at every distance from the body's end that
+    an eight-byte load could overrun, plus bodies the parser refuses, each
+    with its (q, n)."""
+
+    def digits(k):
+        return "".join(map(str, gen.integers(0, 10, k)))
+
+    bodies = []
+    for length in range(1, 41):
+        for token in (digits(length), "-." + digits(length), digits(length) + ".",
+                      digits(length // 2 + 1) + "." + digits(length), "0." + "0" * length + "1",
+                      digits(length) + "e-" + digits(2)):
+            bodies.append((("1.5," + token + "\n").encode(), 1, 2))
+    for spelling in _SPELLINGS + _SLOW:
+        bodies.append(((spelling + "\n").encode(), 1, 1))
+    for refused in ["12345678", "1234567812345678", "1,2\n3", "1e\n", "1" * 30 + ",\n", "\n", ""]:
+        bodies.append((refused.encode(), 1, 1))
+    return bodies
+
+
+@needs_parser
+def test_codec_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    driver = _sanitized_driver(tmp_path)
+    gen = np.random.default_rng(10)
+    random_bits = _bits(gen.integers(0, 2**64, size=10**5, dtype=np.uint64)).reshape(250, 400)
+    edges = _edge_values()[None, :]
+    # alone in a matrix, a value of each decimal exponent with its stores
+    # reaching furthest past its text
+    formats = [edges, random_bits, *(np.array([[-1.2345678901234567 * 10.0**x]]) for x in range(-5, 18))]
+    random_bits = np.where(np.isfinite(random_bits), random_bits, 0.0)
+    edges = _finite_edges()[None, :]
+    parses = [(_expected(random_bits).split(b"\n", 1)[1], 250, 400),
+              (_expected(edges).split(b"\n", 1)[1], 1, edges.size), *_grammar_bodies(gen)]
+
+    manifest = []
+    for k, (body, q, n) in enumerate(parses):
+        (tmp_path / f"body{k}").write_bytes(body)
+        manifest.append(f"parse {q} {n} {tmp_path / f'body{k}'} {tmp_path / f'parsed{k}'}")
+    for k, matrix in enumerate(formats):
+        (tmp_path / f"matrix{k}").write_bytes(np.ascontiguousarray(matrix).tobytes())
+        manifest.append(f"format {matrix.shape[0]} {matrix.shape[1]} {tmp_path / f'matrix{k}'} "
+                        f"{tmp_path / f'formatted{k}'}")
+    (tmp_path / "manifest").write_text("\n".join(manifest) + "\n")
+    run = subprocess.run([str(driver), str(tmp_path / "manifest")], capture_output=True, text=True,
+                         env=dict(os.environ, ASAN_OPTIONS="detect_leaks=0"))
+    assert run.returncode == 0, run.stderr[-3000:]
+
+    for k, (body, q, n) in enumerate(parses):
+        parsed = (tmp_path / f"parsed{k}").read_bytes()
+        status = int(np.frombuffer(parsed[:8], np.int64)[0])
+        expected_status, expected = _raw_parse(body, q, n)
+        assert status == expected_status, body[:80]
+        if status >= 0:
+            _assert_bitwise_equal(np.frombuffer(parsed[8:]).reshape(q, n), expected)
+    for k, matrix in enumerate(formats):
+        assert (tmp_path / f"formatted{k}").read_bytes() == _expected(matrix).split(b"\n", 1)[1]

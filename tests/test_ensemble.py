@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enkpf import ensemble
 from enkpf import (
     Ensemble,
     NO_TAPER,
@@ -122,6 +123,20 @@ def test_tapered_covariance_none_matches_sample_moments():
     b = tapered_covariance(ens, NO_TAPER)
     assert np.array_equal(a.cov, b.cov)
     assert np.array_equal(a.mean, b.mean)
+
+
+def test_cached_taper_is_the_fresh_taper_and_read_only():
+    spec = TaperSpec(kind="gaspari_cohn", support=10.0, topology="ring")
+    cached = ensemble._cached_taper(spec, 40)
+    assert ensemble._cached_taper(spec, 40) is cached
+    fresh = taper_matrix(spec, 40)
+    assert np.array_equal(cached.view(np.uint64), fresh.view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 1] = 0.0
+    fresh[0, 1] = 0.0  # the public function still gives a matrix of the caller's own
+    ens = Ensemble(np.random.default_rng(2).standard_normal((40, 9)))
+    tapered = tapered_covariance(ens, spec).cov
+    assert np.array_equal(tapered, sample_moments(ens).cov * taper_matrix(spec, 40))
 
 
 def test_tapered_covariance_keeps_diagonal():
