@@ -373,7 +373,7 @@ static uint64_t load8(const char *p)
 {
     uint64_t w;
     memcpy(&w, p, sizeof w);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
     w = __builtin_bswap64(w);
 #endif
     return w;
