@@ -34,15 +34,13 @@ def enkpf_update(
 ):
     """One full bridged analysis step.
 
-    gamma comes from the policy (fixed or adaptively selected on its grid);
-    the probes measure the weights of the mixture that is then sampled (the
-    chosen probe's own build; fixed mode and the fallback to 1 build it here).
-    Returns (analysis ensemble, diagnostics).
+    gamma comes from the policy (fixed or adaptively selected on its grid,
+    where the probes compute only weights); the mixture is built once, at
+    that gamma. Returns (analysis ensemble, diagnostics).
     """
     cov = tapered_covariance(ens, taper).cov
-    gamma, probes, mix = select_gamma(ens, obs, policy, cov)
-    if mix is None:  # fixed mode, or no probe qualified and gamma fell back to 1
-        mix = _mixture_from_cov(ens.states, cov, obs, gamma)
+    gamma, probes = select_gamma(ens, obs, policy, cov)
+    mix = _mixture_from_cov(ens.states, cov, obs, gamma)
     out = sample_update(mix, obs, rng)
     e = ess(mix.weights)
     d = div(mix.weights)

@@ -462,14 +462,16 @@ def diversity_sweep(cfg: SweepConfig = SweepConfig(), **changes):
 @contextmanager
 def _text_out(target):
     """`target` itself when it is an open text stream, else the file at that
-    path, opened for writing after creating its directory."""
+    path, opened for writing; its directory is created only when missing."""
     if hasattr(target, "write"):
         yield target
         return
-    parent = Path(target).parent
-    if str(parent) not in ("", "."):
-        parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w") as fh:
+    try:
+        fh = open(target, "w")
+    except FileNotFoundError:
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(target, "w")
+    with fh:
         yield fh
 
 

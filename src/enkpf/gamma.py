@@ -18,11 +18,12 @@ from typing import Literal
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtrs
 
 from .ensemble import Ensemble
 from .mixture import _mixture_from_cov, _tempered_stage
 from .observation import LinearGaussianObservation, kalman_gain
-from .resampling import div, ess
+from .resampling import div, ess, weights_from_log
 from .schema import check_fields
 
 __all__ = [
@@ -75,6 +76,19 @@ class GammaPolicy:
         return cls(mode="fixed", gamma=gamma)
 
 
+# Where the probe identity may stand in for the exact build. A probe is
+# measured by the exact build instead when its fraction lies within
+# _BAND_GUARD of band[0], so that rounding cannot move the choice; when an
+# eigenvalue 1 + gamma lam_i leaves (0, _IDENTITY_RANGE] or their ratio
+# exceeds it, where the exact build rounds its stage-one residual by
+# eps (1 + gamma lam_max) or cannot factor, and its weights or failure must
+# stay the update's; and when a log weight exceeds _LOGW_MAX, which each
+# computation rounds by eps |log w| in its own way.
+_BAND_GUARD = 1e-9
+_IDENTITY_RANGE = 1e4
+_LOGW_MAX = 1e5
+
+
 def select_gamma(
     ens: Ensemble,
     obs: LinearGaussianObservation,
@@ -83,30 +97,72 @@ def select_gamma(
 ):
     """Binary-search the policy grid for the smallest acceptable gamma.
 
-    `cov` is the tapered forecast covariance. Returns (gamma, probes,
-    mixture): probes lists each evaluated (gamma, diversity fraction) pair,
-    and mixture is the probe's own build at the returned gamma. If no probed
-    value reaches the lower band edge, falls back to gamma = 1; that and
-    fixed mode return mixture None. Assumes the diversity fraction is
-    nondecreasing in gamma.
+    `cov` is the tapered forecast covariance P. Returns (gamma, probes):
+    probes lists each evaluated (gamma, diversity fraction) pair. If no
+    probed value reaches the lower band edge, falls back to gamma = 1.
+    Assumes the diversity fraction is nondecreasing in gamma.
+
+    A probe builds no mixture. With S = H P H', R = L L',
+    L^-1 S L^-T = U Lam U' and E = U' L^-1 (y - H X), the log weight of
+    member j at any gamma < 1 is, up to a constant in j,
+        log w_j = -1/2 sum_i c_i E_ij^2,
+        c_i = (1 - gamma) / ((1 - gamma) gamma lam_i^2 + (1 + gamma lam_i)^2).
+    The stage-one residual y - H nu_j is R (gamma S + R)^-1 (y - H x_j), and
+    H qcov H' + R / (1 - gamma) is diagonal in the basis L U, so both the
+    residual and the innovation covariance of the weights reduce to the
+    eigenvalues. At gamma = 0, c_i = 1 gives the particle-filter weights.
+    One eigendecomposition per update serves every probe; a probe outside
+    the identity's limits (above) is measured with the exact build.
     """
     if policy.mode == "fixed":
-        return policy.gamma, (), None
+        return policy.gamma, ()
     measure = MEASURES[policy.mode]
-    grid, tau0 = policy.grid, policy.band[0]
+    grid, tau0, n = policy.grid, policy.band[0], ens.n_members
+    basis = _probe_basis(ens, obs, cov)
     lo, hi = 0, len(grid) - 1
-    probes, chosen = [], (grid[-1], None)
+    probes, chosen = [], grid[-1]
     while lo < hi and len(probes) < policy.max_probes:
         mid = (lo + hi) // 2
-        mix = _mixture_from_cov(ens.states, cov, obs, grid[mid])
-        frac = measure(mix.weights) / ens.n_members
-        probes.append((grid[mid], frac))
+        gamma = grid[mid]
+        frac = None if basis is None else _fast_fraction(*basis, gamma, measure, n)
+        if frac is None or abs(frac - tau0) <= _BAND_GUARD:
+            frac = measure(_mixture_from_cov(ens.states, cov, obs, gamma).weights) / n
+        probes.append((gamma, frac))
         if frac >= tau0:
             # later probes all lie left of this one, so the last to qualify is the smallest
-            chosen, hi = (grid[mid], mix), mid
+            chosen, hi = gamma, mid
         else:
             lo = mid + 1
-    return chosen[0], tuple(probes), chosen[1]
+    return chosen, tuple(probes)
+
+
+def _probe_basis(ens, obs, cov):
+    """(lam, e2) of the probe identity: the ascending eigenvalues of
+    L^-1 H P H' L^-T (R = L L') and the squared entries of the (r, N)
+    whitened innovations E = U' L^-1 (y - H X) in that eigenbasis U. None
+    when the whitened covariance overflows."""
+    chol = obs._chol_R
+    half, _ = dtrtrs(chol, obs.hp_ht(cov), lower=1)
+    white, _ = dtrtrs(chol, half.T, lower=1)  # L^-1 S L^-T, S being symmetric
+    if not np.all(np.isfinite(white)):
+        return None
+    lam, u = np.linalg.eigh(0.5 * (white + white.T))
+    m, _ = dtrtrs(chol, u, lower=1, trans=1)  # L^-T U, so that E = M' (y - H X)
+    e = m.T @ (obs.y[:, None] - obs.apply_h(ens.states))
+    return lam, e * e
+
+
+def _fast_fraction(lam, e2, gamma, measure, n):
+    """Diversity fraction at gamma < 1 from the probe identity, or None
+    outside _IDENTITY_RANGE and _LOGW_MAX (or for a NaN log weight)."""
+    low, high = 1.0 + gamma * lam[0], 1.0 + gamma * lam[-1]
+    if not (low > 0.0 and high <= _IDENTITY_RANGE * min(low, 1.0)):
+        return None
+    c = (1.0 - gamma) / ((1.0 - gamma) * gamma * lam**2 + (1.0 + gamma * lam) ** 2)
+    logw = -0.5 * (c @ e2)  # nonpositive, as c and e2 are
+    if not -logw.min() <= _LOGW_MAX:
+        return None
+    return measure(weights_from_log(logw)) / n
 
 
 def _weight_quadratic(cov, mean, obs, gamma):

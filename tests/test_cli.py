@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enkpf
 from enkpf import read_matrix_csv, write_matrix_csv
@@ -394,6 +399,76 @@ def test_console_script_reports_a_singular_innovation_covariance(tmp_path, capsy
     (line,) = captured.err.splitlines()
     assert line == "enkpf: 2-th leading minor of the array is not positive definite"
     assert captured.out == ""
+
+
+# a valid row's cells, extremes included: values up to +-1e308, variances down to 5e-324
+_VALUES = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([1e308, -1e308, 1e-300, 1e150]),
+)
+_VARIANCES = st.one_of(
+    st.floats(min_value=0.01, max_value=10.0),
+    st.floats(min_value=1e-300, max_value=1e-290),
+    st.sampled_from([1e-300, 5e-324, 2.2e-308, 1e308]),
+)
+_GOOD_ROWS = st.tuples(st.integers(min_value=1, max_value=6).map(str),
+                       _VALUES.map(repr), _VARIANCES.map(repr))
+# cells a row may be refused for: components out of range or not integers,
+# non-numeric, non-finite or nonpositive numbers
+_BAD_CELLS = st.sampled_from(["", "x", "1_0", "0x10", "1e400", "nan", "-inf", "\u0661"])
+_ANY_CELLS = st.one_of(
+    _BAD_CELLS,
+    st.sampled_from(["0", "-1", "7", "1.5", "1e3", "99999999999999999999", "0.0", "-0.5"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def _obs_files(draw):
+    """Observation CSV text: mostly valid rows, some with a refused cell or ragged."""
+    header = draw(st.sampled_from(["component,value,noise_variance"] * 9 + ["site,value,var"]))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        cells = list(draw(_GOOD_ROWS))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            cells[draw(st.integers(min_value=0, max_value=2))] = draw(_ANY_CELLS)
+        width = draw(st.sampled_from([3] * 18 + [2, 4]))
+        rows.append(",".join((cells + ["1"])[:width]))
+    return "\n".join([header] + rows) + "\n"
+
+
+# forecasts at the ordinary scale, far below and above it, and at +-1e308
+_SCALED_FORECASTS = (
+    _FORECAST, _FORECAST, 1e-150 * _FORECAST, 1e150 * _FORECAST, 1e308 * np.sign(_FORECAST),
+)
+
+
+@settings(max_examples=150)
+@given(
+    obs_text=_obs_files(),
+    states=st.sampled_from(_SCALED_FORECASTS),
+    gamma=st.sampled_from(["auto", "auto", "0", "0.5", "1"]),
+)
+def test_generated_update_inputs_exit_in_one_line(obs_text, states, gamma):
+    # whatever the observation file holds, `enkpf update` exits 0 with a finite
+    # analysis or 1 with one message line, never with a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_matrix_csv(tmp / "ens.csv", states)
+        (tmp / "obs.csv").write_text(obs_text)
+        argv = ["update", "--ensemble", str(tmp / "ens.csv"), "--obs", str(tmp / "obs.csv"),
+                "--gamma", gamma, "--out", str(tmp / "analysis.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = console_main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1)
+        assert len(lines) == 1, lines
+        if code == 0:
+            assert lines[0].startswith("gamma=")
+            assert np.all(np.isfinite(read_matrix_csv(tmp / "analysis.csv")))
+        else:
+            assert lines[0].startswith(("enkpf:", "update failed:")), lines
 
 
 def test_parser_is_reused_and_each_parse_stands_alone(tmp_path):

@@ -295,6 +295,21 @@ def test_matrix_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back, m)  # 17 significant digits reproduce doubles
 
 
+def test_matrix_csv_write_creates_a_missing_directory_only(tmp_path, monkeypatch):
+    m = np.arange(6.0).reshape(2, 3)
+    nested = tmp_path / "a" / "b" / "m.csv"
+    write_matrix_csv(nested, m)
+    assert np.array_equal(read_matrix_csv(nested), m)
+    # the directory now exists, so a second write opens the file and makes no directory
+    calls = []
+    original = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda *a, **k: calls.append(a) or original(*a, **k))
+    write_matrix_csv(nested, 2.0 * m)
+    write_matrix_csv(tmp_path / "a" / "n.csv", m)
+    assert calls == []
+    assert np.array_equal(read_matrix_csv(nested), 2.0 * m)
+
+
 def test_matrix_csv_matches_per_element_format():
     # the reference writer: _fmt on every element, joined per row
     gen = np.random.default_rng(8)
