@@ -319,7 +319,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     q = cfg.state_dim
     idx = cfg.observed_indices
     r = idx.size
-    noise_cov = cfg.observation.noise_variance * np.eye(r)
+    # built once per run: each cycle swaps in its y and shares R's factor
+    scheme = LinearGaussianObservation.from_indices(
+        idx, cfg.observation.noise_variance * np.eye(r), np.zeros(r), q
+    )
     noise_std = float(np.sqrt(cfg.observation.noise_variance))
     interval = cfg.cycle_interval
     n_members = cfg.ensemble_size
@@ -341,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
                 noise = root.child("cycle", cycle, "obs").generator().standard_normal(r)
                 y = truth[idx] + noise_std * noise
                 t = cycle * interval
-            obs = LinearGaussianObservation.from_indices(idx, noise_cov, y, q)
+            obs = scheme.with_y(y)
             node = root.child("cycle", cycle, "update")
             try:
                 ens, diag = _apply_filter(cfg.filter, ens, obs, cfg.taper, node)

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtrs
 
 from .ensemble import Ensemble
+from .lapack import dtrtrs
 from .mixture import _mixture_from_cov, _tempered_stage
-from .observation import LinearGaussianObservation, kalman_gain
+from .observation import LinearGaussianObservation, _cho_solve, kalman_gain
 from .resampling import div, ess, weights_from_log
 from .schema import check_fields
 
@@ -171,7 +170,7 @@ def _weight_quadratic(cov, mean, obs, gamma):
     gain, qcov = _tempered_stage(cov, obs, gamma)
     a = (1.0 - gamma) * obs.hp_ht(qcov) + obs.R
     b = np.eye(obs.r) - obs.apply_h(gain)
-    core = b.T @ cho_solve(cho_factor(0.5 * (a + a.T), lower=True), b)
+    core = b.T @ _cho_solve(0.5 * (a + a.T), b)
     core = (1.0 - gamma) * 0.5 * (core + core.T)
     c_mat = obs.ht_m_h(core)
     d_vec = obs.ht_apply(core @ (obs.y - obs.apply_h(mean)))
@@ -216,7 +215,7 @@ def weight_variance_asymptotic(
     r = obs.r
     k1 = kalman_gain(cov, obs)
     b = np.eye(r) - obs.apply_h(k1)
-    rinv_b = cho_solve(cho_factor(obs.R, lower=True), b)
+    rinv_b = _cho_solve(obs.R, b)
     g = b.T @ rinv_b
     hph = obs.hp_ht(cov)
     m = g @ hph @ g

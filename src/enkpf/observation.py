@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+from .lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "LinearGaussianObservation",
@@ -60,10 +60,10 @@ class LinearGaussianObservation:
                 raise ValueError("H must have no all-zero rows")
             object.__setattr__(self, "H", H)
         # fails loudly now rather than inside a filter step if R is not SPD
-        chol_R = cholesky(0.5 * (R + R.T), lower=True)
+        R = 0.5 * (R + R.T)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "R", 0.5 * (R + R.T))
-        object.__setattr__(self, "_chol_R", chol_R)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "_chol_R", _cholesky_lower(_check_finite(R)))
 
     @classmethod
     def from_indices(cls, indices, R, y, state_dim):
@@ -73,6 +73,18 @@ class LinearGaussianObservation:
     def from_matrix(cls, H, R, y):
         H = np.asarray(H, dtype=float)
         return cls(y=y, R=R, state_dim=H.shape[1], H=H)
+
+    def with_y(self, y) -> LinearGaussianObservation:
+        """This observation with the values y; H, R and R's factor are
+        shared, so only y is checked."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.ndim != 1 or not np.all(np.isfinite(y)):
+            raise ValueError("y must be a finite vector")
+        if y.shape != self.y.shape:
+            raise ValueError(f"y must have {self.r} entries, got {y.shape[0]}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, y=y)
+        return new
 
     @property
     def r(self) -> int:
@@ -117,16 +129,33 @@ class LinearGaussianObservation:
         return self._chol_R @ gen.standard_normal((self.r, n))
 
 
+def _check_finite(a: np.ndarray) -> np.ndarray:
+    """`a`, if all its entries are finite (scipy.linalg's check and message)."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of the lower triangle of `a`, from LAPACK's
-    dpotrf without scipy.linalg's wrapper and its finiteness check (the
-    callers' inputs are finite), which took much of a small solve's time."""
+    dpotrf without scipy.linalg's wrapper and its finiteness check (callers
+    that may see a non-finite `a` run `_check_finite` first), which took
+    much of a small solve's time."""
     factor, info = dpotrf(a, lower=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
         )
     return factor
+
+
+def _cho_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for a symmetric positive definite `a` from its lower triangle,
+    checked for finite entries as scipy.linalg's cho_factor and cho_solve
+    check them, with their messages."""
+    factor = _cholesky_lower(_check_finite(a))
+    x, _ = dpotrs(factor, _check_finite(b), lower=1)
+    return x
 
 
 def gaussian_innovation_loglik(diffs: np.ndarray, cov: np.ndarray) -> np.ndarray:

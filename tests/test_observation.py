@@ -152,3 +152,23 @@ def test_draw_noise_covariance():
     eps = obs.draw_noise(gen, 200_000)
     cov = np.cov(eps)
     assert np.allclose(cov, obs.R, atol=0.02)
+
+
+def test_with_y_shares_the_factor_and_checks_only_y():
+    R = np.array([[2.0, 0.6], [0.6, 1.0]])
+    obs = LinearGaussianObservation.from_indices([0, 2], R, np.zeros(2), 3)
+    new = obs.with_y([0.5, -1.0])
+    fresh = LinearGaussianObservation.from_indices([0, 2], R, [0.5, -1.0], 3)
+    assert new._chol_R is obs._chol_R and new.R is obs.R and new.indices is obs.indices
+    assert np.array_equal(new._chol_R, fresh._chol_R) and np.array_equal(new.y, fresh.y)
+    assert np.array_equal(obs.y, np.zeros(2))
+    with pytest.raises(ValueError, match="finite vector"):
+        obs.with_y([np.nan, 0.0])
+    with pytest.raises(ValueError, match="2 entries"):
+        obs.with_y([1.0, 2.0, 3.0])
+
+
+@pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+def test_nonfinite_noise_covariance_is_named():
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        LinearGaussianObservation.from_indices([0], np.array([[np.inf]]), np.array([0.0]), 2)
