@@ -74,6 +74,6 @@ def enkf_update(
     stage-one noise uses.
     """
     gain = kalman_gain(tapered_covariance(ens, taper).cov, obs)
-    eps = obs.draw_noise(rng.child("eps1").generator(), ens.n_members)
+    eps = obs.draw_noise(rng.child("eps1"), ens.n_members)
     innov = obs.y[:, None] - obs.apply_h(ens.states) + eps
     return Ensemble(ens.states + gain @ innov)

@@ -1,5 +1,6 @@
 """Builds and loads the package's C helpers: _l96.c, the Lorenz-96 Euler
-loop, and _csv.c, the matrix-CSV formatter and parser.
+loop, _csv.c, the matrix-CSV formatter and parser, and _rng.c, the
+standard normal draws of enkpf.rng.
 
 Nothing is built at import: each caller loads its library on first use,
 once per process, and runs its Python path where it gets None.
@@ -22,6 +23,9 @@ from pathlib import Path
 # and per-function target clones (see _l96.c) use the wider vector units
 # where the CPU has them
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# after the source: _rng.c calls libm's exp and log1p, the functions numpy's
+# normal sampler calls, so each library names libm as a dependency
+LIBS = ("-lm",)
 
 
 def load(stem: str) -> ctypes.CDLL | None:
@@ -29,9 +33,9 @@ def load(stem: str) -> ctypes.CDLL | None:
     cannot be built or loaded.
 
     The library goes to __pycache__ next to the source as
-    <stem>-<digest>.so, named by a hash of the source and the compile
-    command. A build holds an exclusive lock on __pycache__/<stem>.lock, so
-    processes that start at once compile once and each load a complete
+    <stem>-<digest>.so, named by a hash of the source, the compile command
+    and LIBS. A build holds an exclusive lock on __pycache__/<stem>.lock,
+    so processes that start at once compile once and each load a complete
     library; the compiler writes a temporary file that os.replace
     publishes. After publishing, the builder deletes the <stem> libraries
     of other digests and the temporary files of killed builds.
@@ -41,7 +45,8 @@ def load(stem: str) -> ctypes.CDLL | None:
     try:
         import fcntl
 
-        digest = hashlib.sha256(source.read_bytes() + " ".join(command).encode()).hexdigest()
+        build = " ".join([*command, *LIBS]).encode()
+        digest = hashlib.sha256(source.read_bytes() + build).hexdigest()
         lib = source.parent / "__pycache__" / f"{stem}-{digest[:16]}.so"
         if not lib.exists():
             lib.parent.mkdir(exist_ok=True)
@@ -68,7 +73,7 @@ def _build(command, source: Path, lib: Path):
     fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=f"{stem}-", dir=lib.parent)
     os.close(fd)
     try:
-        subprocess.run([*command, "-o", tmp, str(source)], check=True, capture_output=True)
+        subprocess.run([*command, "-o", tmp, str(source), *LIBS], check=True, capture_output=True)
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):

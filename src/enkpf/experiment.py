@@ -341,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
                 # propagator call, whose divergence check covers both
                 stacked = propagate(np.column_stack((ens.states, truth)), interval)
                 ens, truth = Ensemble(stacked[:, :n_members]), stacked[:, n_members]
-                noise = root.child("cycle", cycle, "obs").generator().standard_normal(r)
+                noise = root.child("cycle", cycle, "obs").standard_normal(r)
                 y = truth[idx] + noise_std * noise
                 t = cycle * interval
             obs = scheme.with_y(y)

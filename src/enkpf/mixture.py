@@ -146,10 +146,10 @@ def sample_update(
     # take gives a C-ordered copy, so every gamma hands back the same memory layout
     x = mix.means.take(idx, axis=1)
     if gamma > 0.0:
-        eps1 = obs.draw_noise(rng.child("eps1").generator(), n)
+        eps1 = obs.draw_noise(rng.child("eps1"), n)
         x = x + mix.gain1 @ (eps1 / np.sqrt(gamma))
     if 0.0 < gamma < 1.0:
-        eps2 = obs.draw_noise(rng.child("eps2").generator(), n)
+        eps2 = obs.draw_noise(rng.child("eps2"), n)
         innov = obs.y[:, None] + eps2 / np.sqrt(1.0 - gamma) - obs.apply_h(x)
         x = x + mix.gain2 @ innov
     return Ensemble(x)

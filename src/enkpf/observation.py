@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lapack import dpotrf, dpotrs, dtrtrs
+from .rng import RngNode
 
 __all__ = [
     "LinearGaussianObservation",
@@ -41,7 +42,7 @@ class LinearGaussianObservation:
         r = y.shape[0]
         if y.ndim != 1 or not np.all(np.isfinite(y)):
             raise ValueError("y must be a finite vector")
-        if R.shape != (r, r) or not np.allclose(R, R.T, atol=1e-12 * max(1.0, np.abs(R).max())):
+        if R.shape != (r, r) or not _symmetric(R):
             raise ValueError("R must be a symmetric (r, r) matrix")
         if (self.indices is None) == (self.H is None):
             raise ValueError("provide exactly one of indices / H")
@@ -124,9 +125,20 @@ class LinearGaussianObservation:
             return out
         return self.H.T @ M @ self.H
 
-    def draw_noise(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n columns of N(0, R) noise."""
-        return self._chol_R @ gen.standard_normal((self.r, n))
+    def draw_noise(self, node: RngNode, n: int) -> np.ndarray:
+        """n columns of N(0, R) noise from the stream of `node`."""
+        return self._chol_R @ node.standard_normal((self.r, n))
+
+
+def _symmetric(R: np.ndarray) -> bool:
+    """Whether R equals R' within 1e-12 of its largest magnitude. An R
+    equal to R' entry by entry passes without np.allclose, the costly part
+    of an observation's build, which would pass it too (isclose holds where
+    x == y, infinities included); NaN entries never compare equal, so they
+    reach np.allclose, which fails them."""
+    if (R == R.T).all():
+        return True
+    return bool(np.allclose(R, R.T, atol=1e-12 * max(1.0, np.abs(R).max())))
 
 
 def _check_finite(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 from decimal import Decimal, localcontext
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkpf import experiment, read_matrix_csv, write_matrix_csv
-from enkpf.compiled import compile_command, load
+from enkpf.compiled import load
 
 _COMPILED = experiment._csv_formatter()
 needs_compiled = pytest.mark.skipif(_COMPILED is None, reason="_csv.c could not be built here")
@@ -374,27 +373,6 @@ def test_generated_bodies_read_as_loadtxt_reads_them(fuzz_path, generated):
 # exactly its size, so a read of even one byte past a body (the eight-byte
 # digit scan) or a write past the reserved output ends the run.
 
-_SANITIZE = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
-_DRIVER = Path(__file__).with_name("csv_driver.c")
-
-
-def _sanitized_driver(tmp_path) -> Path:
-    cc = compile_command()
-    if shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler")
-    probe = tmp_path / "probe.c"
-    probe.write_text("int main(void) { return 0; }\n")
-    if subprocess.run([cc[0], *_SANITIZE, "-o", str(tmp_path / "probe"), str(probe)],
-                      capture_output=True).returncode != 0:
-        pytest.skip("the compiler has no AddressSanitizer or UndefinedBehaviorSanitizer runtime")
-    flags = [flag for flag in cc[1:] if flag not in ("-shared", "-fPIC")]
-    driver = tmp_path / "csv_driver"
-    build = subprocess.run([cc[0], *flags, *_SANITIZE, "-Wall", "-Wextra", "-Werror", "-o", str(driver),
-                            str(_DRIVER), str(Path(experiment.__file__).with_name("_csv.c"))],
-                           capture_output=True, text=True)
-    assert build.returncode == 0, build.stderr
-    return driver
-
 
 def _grammar_bodies(gen) -> list[tuple[bytes, int, int]]:
     """Bodies in the parser's grammar whose last value has runs of 1 to 40
@@ -419,8 +397,8 @@ def _grammar_bodies(gen) -> list[tuple[bytes, int, int]]:
 
 
 @needs_parser
-def test_codec_under_address_and_undefined_behaviour_sanitizers(tmp_path):
-    driver = _sanitized_driver(tmp_path)
+def test_codec_under_address_and_undefined_behaviour_sanitizers(tmp_path, sanitized_build):
+    driver = sanitized_build("csv_driver", "_csv")
     gen = np.random.default_rng(10)
     random_bits = _bits(gen.integers(0, 2**64, size=10**5, dtype=np.uint64)).reshape(250, 400)
     edges = _edge_values()[None, :]

@@ -83,7 +83,7 @@ def test_enkf_conditional_mean_is_affine_map():
         [0, 2], np.diag([0.5, 0.8]), np.array([1.0, -0.5]), 3)
     out = enkf_update(ens, obs, NO_TAPER, RngNode(7))
     K = kalman_gain(tapered_covariance(ens, NO_TAPER).cov, obs)
-    eps = obs.draw_noise(RngNode(7).child("eps1").generator(), 9)
+    eps = obs.draw_noise(RngNode(7).child("eps1"), 9)
     assert np.any(eps != 0.0)
     expect = ens.states + K @ (obs.y[:, None] - ens.states[[0, 2], :] + eps)
     assert np.array_equal(out.states, expect)

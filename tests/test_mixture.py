@@ -42,6 +42,9 @@ class _ZeroNode:
     def generator(self):
         return _ZeroGenerator()
 
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
 
 class _RecordingNode:
     """Wraps an RngNode and records the key path of every stream it hands out."""
@@ -55,6 +58,10 @@ class _RecordingNode:
     def generator(self):
         self.drawn.append(self.path)
         return self.node.generator()
+
+    def standard_normal(self, shape):
+        self.drawn.append(self.path)
+        return self.node.standard_normal(shape)
 
 
 def test_build_mixture_scalar_case():

@@ -3,6 +3,7 @@ import pytest
 
 from enkpf import (
     LinearGaussianObservation,
+    RngNode,
     kalman_gain,
     log_likelihood,
     scaled_gain,
@@ -148,10 +149,66 @@ def test_observation_validation():
 def test_draw_noise_covariance():
     obs = LinearGaussianObservation.from_indices(
         [0, 1], np.array([[2.0, 0.6], [0.6, 1.0]]), np.zeros(2), 2)
-    gen = np.random.default_rng(10)
-    eps = obs.draw_noise(gen, 200_000)
+    eps = obs.draw_noise(RngNode(10), 200_000)
     cov = np.cov(eps)
     assert np.allclose(cov, obs.R, atol=0.02)
+
+
+def _allclose_verdict(R):
+    """The symmetry test LinearGaussianObservation used to run on every R."""
+    return np.allclose(R, R.T, atol=1e-12 * max(1.0, np.abs(R).max()))
+
+
+def _build_message(R):
+    try:
+        LinearGaussianObservation.from_indices([0, 1, 2], R, np.zeros(3), 3)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+_INF, _NAN = np.inf, np.nan
+_SPECIAL_R = {
+    "asymmetric": [[2.0, 0.5, 0.0], [0.4, 2.0, 0.0], [0.0, 0.0, 2.0]],
+    "asymmetric_within_tolerance": [[2.0, 0.5, 0.0], [0.5 + 1e-13, 2.0, 0.0], [0.0, 0.0, 2.0]],
+    "nan_diagonal": [[_NAN, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "nan_mirrored": [[1.0, _NAN, 0.0], [_NAN, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "inf_diagonal": [[_INF, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "minus_inf_mirrored": [[1.0, -_INF, 0.0], [-_INF, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    # an infinite entry makes the tolerance infinite, so a finite mirror passes
+    "inf_against_finite": [[1.0, _INF, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "inf_against_minus_inf": [[1.0, _INF, 0.0], [-_INF, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "inf_and_nan": [[_INF, _NAN, 0.0], [_NAN, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+# numpy warns when an infinite entry makes the tolerance infinite
+_INF_TOLERANCE = pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+
+
+@_INF_TOLERANCE
+@pytest.mark.parametrize("name", sorted(_SPECIAL_R))
+def test_symmetry_check_keeps_the_allclose_verdict_and_message(name):
+    R = np.array(_SPECIAL_R[name])
+    symmetric = _allclose_verdict(R)
+    expected = ("R must be a symmetric (r, r) matrix" if not symmetric
+                else None if np.isfinite(R).all() else "array must not contain infs or NaNs")
+    assert _build_message(R) == expected
+
+
+@_INF_TOLERANCE
+def test_symmetry_check_matches_allclose_on_random_special_entries():
+    gen = np.random.default_rng(19)
+    values = np.array([0.0, 1.0, -2.5, 1e300, -1e-300, _INF, -_INF, _NAN])
+    for _ in range(2000):
+        R = values[gen.integers(0, values.size, (3, 3))]
+        if gen.random() < 0.5:
+            R = np.triu(R) + np.triu(R, 1).T
+        if gen.random() < 0.3:
+            R = R + np.diag(gen.standard_normal(3))
+        symmetric = _allclose_verdict(R)
+        message = _build_message(R)
+        assert (message != "R must be a symmetric (r, r) matrix") == symmetric, R
 
 
 def test_with_y_shares_the_factor_and_checks_only_y():
