@@ -54,28 +54,29 @@ from .observation import (
 from .resampling import balanced_resample, div, ess, normalized_weights, weights_from_log
 from .rng import RngNode
 from .scoring import crps, curvature, rmse
-from .experiment import (
-    CYCLES_HEADER,
-    SUMMARY_HEADER,
-    CycleRecord,
+from .config import (
     ExperimentConfig,
     FilterSpec,
     ObservationScheme,
     StaticPriorConfig,
     SweepConfig,
-    diversity_sweep,
     experiment_config_from_dict,
     load_experiment_config,
     load_sweep_config,
+)
+from .experiment import (
+    CYCLES_HEADER,
+    SUMMARY_HEADER,
+    CycleRecord,
+    diversity_sweep,
     read_cycles_csv,
-    read_matrix_csv,
     run_experiment,
     static_prior_ensemble,
     static_prior_observation,
     summarize,
-    write_matrix_csv,
     write_summary_csv,
     write_sweep_csv,
 )
+from .matrix_csv import read_matrix_csv, write_matrix_csv
 
 __version__ = "0.1.0"

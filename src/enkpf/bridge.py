@@ -44,9 +44,8 @@ def enkpf_update(
     out = sample_update(mix, obs, rng)
     e = ess(mix.weights)
     d = div(mix.weights)
-    n = ens.n_members
-    measure = MEASURES.get(policy.mode)  # None in fixed mode
-    exceeded = measure is not None and measure(mix.weights) > policy.band[1] * n
+    measured = {ess: e, div: d}.get(MEASURES.get(policy.mode))  # None in fixed mode
+    exceeded = measured is not None and measured > policy.band[1] * ens.n_members
     return out, UpdateDiagnostics(
         gamma=gamma, ess=e, div=d, probes=probes or None, band_exceeded=bool(exceeded)
     )

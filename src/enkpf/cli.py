@@ -19,22 +19,20 @@ import numpy as np
 
 from .blas import single_thread
 from .bridge import enkpf_update
+from .config import load_experiment_config, load_sweep_config
 from .ensemble import Ensemble, TaperKind, TaperSpec, Topology
 from .errors import DegenerateWeightsError, DivergenceError
 from .experiment import (
     _fmt,
     diversity_sweep,
-    load_experiment_config,
-    load_sweep_config,
     read_cycles_csv,
-    read_matrix_csv,
     run_experiment,
     summarize,
-    write_matrix_csv,
     write_summary_csv,
     write_sweep_csv,
 )
 from .gamma import GammaPolicy
+from .matrix_csv import read_matrix_csv, write_matrix_csv
 from .observation import LinearGaussianObservation
 from .rng import RngNode
 

@@ -1,4 +1,5 @@
-"""Twin-experiment harness: configuration, cycling loop, CSV outputs.
+"""Twin-experiment harness: the cycling loop, its CSV records and the
+diversity sweep (configs in enkpf.config, matrix files in enkpf.matrix_csv).
 
 A run alternates model propagation and a filter update against observations
 synthesized from a truth trajectory, recording per-cycle diagnostics and
@@ -9,24 +10,27 @@ cycle; an aborted run leaves a valid prefix on disk.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import json
-import re
 import time
 import typing
-from contextlib import contextmanager
-from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .blas import single_thread
 from .bridge import UpdateDiagnostics, enkf_update, enkpf_update, pf_update
-from .compiled import load as load_library
-from .ensemble import Ensemble, TaperSpec, sample_moments, tapered_covariance
+from .config import (
+    STATIC_BASE_DIM,
+    ExperimentConfig,
+    FilterSpec,
+    StaticPriorConfig,
+    SweepConfig,
+    load_experiment_config,  # unused here: perfbench/cases.py imports it from this module
+)
+from .ensemble import Ensemble, sample_moments, tapered_covariance
 from .errors import DivergenceError
-from .gamma import GammaPolicy, weight_variance_asymptotic
+from .gamma import weight_variance_asymptotic
+from .matrix_csv import _text_out, write_matrix_csv
 from .mixture import _mixture_from_cov
 from .models import (
     KdVConfig,
@@ -40,15 +44,9 @@ from .models import (
 from .observation import LinearGaussianObservation
 from .resampling import ess
 from .rng import RngNode
-from .schema import FieldError, _mismatch, _reject_unknown, check_fields, check_value, field_hints
 from .scoring import crps, rmse
 
 __all__ = [
-    "StaticPriorConfig",
-    "ObservationScheme",
-    "FilterSpec",
-    "ExperimentConfig",
-    "SweepConfig",
     "CycleRecord",
     "CYCLES_HEADER",
     "SUMMARY_HEADER",
@@ -57,142 +55,12 @@ __all__ = [
     "run_experiment",
     "summarize",
     "diversity_sweep",
-    "write_matrix_csv",
-    "read_matrix_csv",
     "read_cycles_csv",
     "write_summary_csv",
-    "experiment_config_from_dict",
-    "load_experiment_config",
-    "load_sweep_config",
+    "write_sweep_csv",
 ]
 
-STATIC_BASE_DIM = 250
-
 SUMMARY_HEADER = "score,p10,p50,mean,p90"
-
-Prior = typing.Literal["gaussian", "bimodal"]
-YPreset = typing.Literal["y1", "y2"]
-FilterKind = typing.Literal["pf", "enkf", "enkpf"]
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class StaticPriorConfig:
-    """Propagation-free single-update scenario with a synthetic prior.
-
-    The prior ensemble comes from one standard-normal base sample of
-    dimension 250 (first q components used); the bimodal variant shifts the
-    first component of the second half of the members by +6. `y` is either
-    a preset name (y1 / y2) or an explicit q-vector.
-    """
-
-    prior: Prior = "gaussian"
-    q: int = 50
-    y: str | tuple[float, ...] = "y1"
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 1 <= self.q <= STATIC_BASE_DIM:
-            raise ValueError(f"q must lie in [1, {STATIC_BASE_DIM}]")
-        if isinstance(self.y, str):
-            check_value(self.y, YPreset, "y")
-        elif len(self.y) != self.q:
-            raise ValueError("explicit y must have length q")
-
-    # observation noise standard deviations of the canonical scenarios
-    DEFAULT_SIGMA = {"gaussian": 0.5, "bimodal": 3.0}
-
-
-@dataclass(frozen=True)
-class ObservationScheme:
-    """Which components are observed (1-based; None = all), the iid noise
-    variance, and the model-time interval between observations (None = the
-    model's lead time)."""
-
-    components: tuple[int, ...] | None = None
-    noise_variance: float = 1.0
-    interval: float | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be positive")
-        comps = self.components
-        if comps is not None and (len(comps) == 0 or len(set(comps)) != len(comps)):
-            raise ValueError("components must be nonempty and distinct")
-        if self.interval is not None and not self.interval > 0:
-            raise ValueError("interval must be positive")
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    kind: FilterKind = "enkpf"
-    policy: GammaPolicy | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.kind == "enkpf" and self.policy is None:
-            object.__setattr__(self, "policy", GammaPolicy())
-        if self.kind != "enkpf" and self.policy is not None:
-            raise ValueError("only the bridged filter takes a gamma policy")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: Lorenz96Config | KdVConfig | StaticPriorConfig
-    filter: FilterSpec = field(default_factory=FilterSpec)
-    ensemble_size: int = 100
-    cycles: int = 1
-    observation: ObservationScheme = field(default_factory=ObservationScheme)
-    taper: TaperSpec = field(default_factory=TaperSpec)
-    seed: int = 0
-    output_dir: str | None = None
-    record_timing: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.ensemble_size < 2:
-            raise ValueError("ensemble_size must be at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if isinstance(self.model, StaticPriorConfig):
-            if not 0 <= self.cycles <= 1:
-                raise ValueError("a static-prior scenario is a single update (cycles 0 or 1)")
-            if self.observation.interval is not None:
-                raise ValueError("a static-prior scenario has no observation interval")
-        elif self.cycles < 1:
-            raise ValueError("cycles must be at least 1")
-        q = self.state_dim
-        comps = self.observation.components
-        if comps is not None and (min(comps) < 1 or max(comps) > q):
-            raise ValueError(f"observed components must lie in [1, {q}]")
-
-    @property
-    def state_dim(self) -> int:
-        m = self.model
-        if isinstance(m, KdVConfig):
-            return m.grid_points
-        return m.q
-
-    @property
-    def observed_indices(self) -> np.ndarray:
-        comps = self.observation.components
-        if comps is None:
-            return np.arange(self.state_dim)
-        return np.asarray(comps, dtype=int) - 1
-
-    @property
-    def cycle_interval(self) -> float:
-        if isinstance(self.model, StaticPriorConfig):
-            return 0.0
-        return (
-            self.observation.interval
-            if self.observation.interval is not None
-            else self.model.lead_time
-        )
 
 
 @dataclass(frozen=True)
@@ -403,26 +271,6 @@ def summarize(records) -> list[tuple[str, float, float, float, float]]:
 # single-update diversity sweep
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """The diversity sweep: every prior, observation preset and dimension,
-    ensemble_size members, each gamma of gamma_grid. `output` is where the
-    CLI writes the table (stdout when None)."""
-
-    priors: tuple[Prior, ...] = typing.get_args(Prior)
-    observations: tuple[YPreset, ...] = typing.get_args(YPreset)
-    dims: tuple[int, ...] = (10, 50, 250)
-    ensemble_size: int = 50
-    taper: TaperSpec = TaperSpec(kind="triangular", support=10.0, topology="line")
-    gamma_grid: tuple[float, ...] = tuple(k / 20.0 for k in range(21))
-    seed: int = 0
-    raw_moment_estimates: bool = False
-    output: str | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-
-
 @single_thread()
 def diversity_sweep(cfg: SweepConfig = SweepConfig(), **changes):
     """ess/N of the mixture weights across gamma for the synthetic scenarios.
@@ -462,213 +310,6 @@ def diversity_sweep(cfg: SweepConfig = SweepConfig(), **changes):
 # file formats
 
 
-@contextmanager
-def _text_out(target):
-    """`target` itself when it is an open text stream, else the file at that
-    path, opened for writing; its directory is created only when missing."""
-    if hasattr(target, "write"):
-        yield target
-        return
-    try:
-        fh = open(target, "w")
-    except FileNotFoundError:
-        Path(target).parent.mkdir(parents=True, exist_ok=True)
-        fh = open(target, "w")
-    with fh:
-        yield fh
-
-
-def write_matrix_csv(target, matrix: np.ndarray):
-    """(q, N) matrix as CSV: first line 'q,N', then q comma-separated rows.
-
-    `target` is a path or an open text stream, as for every writer here.
-    Every value is written as '%.17g' % v. The formatter of _csv.c does
-    that where it builds, into one buffer that goes to the stream's binary
-    layer when it has one; otherwise each row is %-formatted in Python,
-    with the same bytes.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    q, n = matrix.shape
-    format_body = _csv_formatter()
-    with _text_out(target) as fh:
-        fh.write(f"{q},{n}\n")
-        if format_body is None:
-            _write_rows(fh, matrix)
-            return
-        body = format_body(matrix)
-        if hasattr(fh, "buffer"):
-            fh.flush()
-            fh.buffer.write(body)
-        else:
-            fh.write(str(body, "ascii"))
-
-
-def _write_rows(fh, matrix):
-    """The Python path of write_matrix_csv, and the reference the compiled
-    formatter is tested against."""
-    # one %-format per row of Python floats writes _fmt's digits without a
-    # format call per numpy scalar, which took half the writer's time
-    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    for row in matrix:
-        fh.write(row_format % tuple(row.tolist()))
-
-
-@functools.cache
-def _csv_formatter():
-    """csv_format of _csv.c as a function from a (q, N) matrix to a
-    memoryview of its CSV body, or None where it cannot be built or loaded
-    (see enkpf.compiled)."""
-    dll = load_library("_csv")
-    if dll is None:
-        return None
-    fmt, width = dll.csv_format, ctypes.c_long.in_dll(dll, "csv_field_max").value
-    fmt.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
-    fmt.restype = ctypes.c_long
-
-    def format_body(matrix):
-        x = np.ascontiguousarray(matrix, dtype=np.float64)
-        q, n = x.shape
-        buf = np.empty(width * x.size, np.uint8)
-        size = fmt(x.ctypes.data, q, n, buf.ctypes.data)
-        return memoryview(buf)[:size]
-
-    return format_body
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """The matrix write_matrix_csv wrote at `path`. Every error names the
-    path, and one in a body line names that line as well.
-
-    The parser of _csv.c reads a body in the form the writer gives it:
-    q lines of N values, each '[-+]?(d+(.d*)?|.d+)([eE][-+]?d+)?', with ','
-    between values and '\n' after each line. Anything else (spaces,
-    comments, blank lines, CRLF, inf or nan, another shape), and every
-    input where it cannot be built, goes to np.loadtxt, which reads the
-    same values bitwise and raises every error.
-    """
-    parse_body = _csv_parser()
-    if parse_body is not None:
-        with open(path, "rb") as fh:
-            text = fh.read()
-        header = _STRICT_HEADER.match(text)
-        if header is not None:
-            data = parse_body(text, header.end(), int(header[1]), int(header[2]))
-            if data is not None:
-                return data
-    return _read_rows(path)
-
-
-_STRICT_HEADER = re.compile(rb"(\d+),(\d+)\n")
-# ASCII digits only, unlike int(), which also takes '1_0' and other scripts'
-# digits; spaces around each number are allowed, as np.loadtxt allows them
-# around a value
-_HEADER = re.compile(r"(\d+)\s*,\s*(\d+)", re.ASCII)
-_TOKEN = re.compile(rb"[^,\n]*")
-_OFFSET_BITS = np.uint64(2**51 - 1)
-
-
-@functools.cache
-def _csv_parser():
-    """csv_parse of _csv.c as a function of the file's bytes, the offset of
-    the body and the header's (q, N) that gives the (q, N) matrix, or None
-    where the body is not in the parser's form; or None itself where _csv.c
-    cannot be built or loaded (see enkpf.compiled)."""
-    dll = load_library("_csv")
-    if dll is None:
-        return None
-    parse = dll.csv_parse
-    parse.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
-    parse.restype = ctypes.c_long
-
-    def parse_body(text, start, q, n):
-        body = np.frombuffer(text, np.uint8, offset=start)
-        if not 0 < 2 * q * n <= body.size:  # every value takes two bytes or more
-            return None
-        data = np.empty((q, n))
-        slow = parse(body.ctypes.data, body.size, q, n, data.ctypes.data)
-        if slow < 0:
-            return None
-        if slow:
-            # a value outside the parser's exact tiers is a NaN whose low
-            # 51 bits give the offset of its text in the body
-            flat = data.reshape(-1)
-            bits = flat.view(np.uint64)
-            for k in np.flatnonzero(np.isnan(flat)):
-                flat[k] = float(_TOKEN.match(text, start + int(bits[k] & _OFFSET_BITS))[0])
-        return data
-
-    return parse_body
-
-
-def _read_rows(path) -> np.ndarray:
-    """The np.loadtxt path of read_matrix_csv, and the reference the
-    compiled parser is tested against."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        shape = _HEADER.fullmatch(header)
-        if shape is None:
-            raise ValueError(f"{path}, line 1: bad matrix header {header!r}")
-        q, n = int(shape[1]), int(shape[2])
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise ValueError(_refusal(path, err)) from err
-    if data.shape != (q, n):
-        raise ValueError(f"{path}: matrix body {data.shape} does not match header ({q}, {n})")
-    return data
-
-
-# numpy's place of a refused value, ' at row k, column c.' at the end, or of
-# a ragged row, ' at row k' before '; '; its row counts data rows, from 0 in
-# the first and from 1 in the second
-_NUMPY_ROW = re.compile(r" at row \d+(?:, column (\d+)\.$|(?=; ))")
-
-
-def _refusal(path, err) -> str:
-    """np.loadtxt's message `err` about the body of `path`, placed at the
-    file line and, where numpy names it, the (1-based) column."""
-    message, line = str(err), _refused_line(path)
-    numpy_row = _NUMPY_ROW.search(message)
-    if line and numpy_row:
-        message = message[: numpy_row.start()] + message[numpy_row.end() :]
-        if numpy_row[1]:
-            line += f", column {numpy_row[1]}"
-    return f"{path}{line}: {message}"
-
-
-def _refused_line(path) -> str:
-    """', line k' for the first body line of a matrix CSV that np.loadtxt
-    refuses: one with a value that is not a number, or with another number
-    of values than the first body line. Blank lines and '#' comments are
-    skipped as np.loadtxt skips them."""
-    width = None
-    with open(path) as fh:
-        next(fh)
-        for number, line in enumerate(fh, 2):
-            text = line.split("#")[0]
-            if not text.strip():
-                continue
-            cells = text.split(",")
-            width = width or len(cells)
-            if len(cells) != width or not all(map(_loadtxt_reads, cells)):
-                return f", line {number}"
-    return ""
-
-
-def _loadtxt_reads(cell: str) -> bool:
-    """Whether np.loadtxt reads `cell` as a float: Python's float reads it
-    without its surrounding whitespace, and it is ASCII without '_' (float
-    also takes non-ASCII digits and '_' between digits; numpy does not)."""
-    text = cell.strip()
-    if not text.isascii() or "_" in text:
-        return False
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def read_cycles_csv(path) -> list[CycleRecord]:
     with open(path) as fh:
         header = fh.readline().strip()
@@ -698,82 +339,3 @@ def write_sweep_csv(target, rows):
                 ",".join([prior, y_name, str(q), _fmt(gamma), _fmt(frac), _fmt(approx)]) + "\n"
             )
 
-
-# ---------------------------------------------------------------------------
-# JSON configuration
-#
-# The config dataclasses are the schema: a JSON object becomes a dataclass
-# with its fields as the only keys, and each constructor checks its values
-# by their annotations (enkpf.schema).
-
-_MODELS = {"lorenz96": Lorenz96Config, "kdv": KdVConfig, "static_prior": StaticPriorConfig}
-
-
-def _from_json(value, hint, key: str):
-    """Parsed JSON `value` built into the dataclass that `hint` names; `key`
-    names it in errors.
-
-    A dataclass takes an object whose keys are its field names (absent
-    fields keep their defaults), and a union of model configs picks the
-    class by the object's `kind`. Any other value goes to the constructor
-    as it is, whose type check refuses it under `key`.
-    """
-    classes = [a for a in typing.get_args(hint) or (hint,) if is_dataclass(a)]
-    if not classes or (value is None and type(None) in typing.get_args(hint)):
-        return value
-    if len(classes) > 1:  # the model section, whose class is named by its kind
-        if not isinstance(value, dict):
-            raise _mismatch(value, hint, key)
-        kind = check_value(value.get("kind"), typing.Literal[tuple(_MODELS)], f"{key}.kind")
-        value = {k: v for k, v in value.items() if k != "kind"}
-        classes = [_MODELS[kind]]
-    (cls,) = classes
-    hints = field_hints(cls)
-    _reject_unknown(value, hints, key)
-    for f in fields(cls):
-        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{key} requires the {f.name!r} key")
-    kwargs = {k: _from_json(v, hints[k], f"{key}.{k}") for k, v in value.items()}
-    try:
-        return cls(**kwargs)
-    except FieldError as err:
-        raise ValueError(f"{key}.{err}") from None
-
-
-def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    """Strict parse of the run-configuration schema; unknown keys error out.
-
-    The observation section differs from ObservationScheme in three ways:
-    it is required and so is its noise_variance, components "all" stands
-    for null, and the field interval is written schedule.interval.
-    """
-    if not isinstance(d, dict):
-        raise _mismatch(d, ExperimentConfig, "config")
-    if "observation" not in d:
-        raise ValueError("config requires the 'observation' key")
-    obs = d["observation"]
-    _reject_unknown(obs, {"components", "noise_variance", "schedule"}, "config.observation")
-    if "noise_variance" not in obs:
-        raise ValueError("config.observation requires the 'noise_variance' key")
-    obs = {k: v for k, v in obs.items() if k != "schedule"}
-    if obs.get("components") == "all":
-        obs["components"] = None
-    schedule = d["observation"].get("schedule")
-    if schedule is not None:
-        key = "config.observation.schedule"
-        _reject_unknown(schedule, {"interval"}, key)
-        if "interval" in schedule:
-            hint = field_hints(ObservationScheme)["interval"]
-            obs["interval"] = check_value(schedule["interval"], hint, f"{key}.interval")
-    return _from_json({**d, "observation": obs}, ExperimentConfig, "config")
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return experiment_config_from_dict(json.load(fh))
-
-
-def load_sweep_config(path) -> SweepConfig:
-    """Strict parse of a diversity-sweep configuration file."""
-    with open(path) as fh:
-        return _from_json(json.load(fh), SweepConfig, "sweep")

@@ -47,15 +47,14 @@ class GammaPolicy:
 
     mode `fixed` uses `gamma` as is; the adaptive modes binary-search `grid`
     (ascending, spanning 0 to 1) for the smallest value whose diversity
-    fraction reaches band[0], probing at most `max_probes` grid points.
-    band[1] is an advisory upper edge, only reported when exceeded.
+    fraction reaches band[0], probing ceil(log2(len(grid))) grid points at
+    most. band[1] is an advisory upper edge, only reported when exceeded.
     """
 
     mode: Mode = "adaptive_ess"
     gamma: float | None = None
     band: tuple[float, float] = (0.25, 0.5)
     grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
-    max_probes: int = 4
 
     def __post_init__(self):
         check_fields(self)
@@ -67,8 +66,6 @@ class GammaPolicy:
         grid = self.grid
         if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0 or list(grid) != sorted(grid):
             raise ValueError("grid must be ascending and span 0 to 1")
-        if self.max_probes < 1:
-            raise ValueError("max_probes must be positive")
 
     @classmethod
     def fixed(cls, gamma: float) -> "GammaPolicy":
@@ -120,7 +117,7 @@ def select_gamma(
     basis = _probe_basis(ens, obs, cov)
     lo, hi = 0, len(grid) - 1
     probes, chosen = [], grid[-1]
-    while lo < hi and len(probes) < policy.max_probes:
+    while lo < hi:
         mid = (lo + hi) // 2
         gamma = grid[mid]
         frac = None if basis is None else _fast_fraction(*basis, gamma, measure, n)

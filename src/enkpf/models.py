@@ -33,8 +33,8 @@ __all__ = [
 
 def _step_count(duration: float, dt: float) -> int:
     n = int(round(duration / dt))
-    if abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
-        raise ValueError(f"duration {duration} is not a multiple of the step {dt}")
+    if duration < 0 or abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
+        raise ValueError(f"duration {duration} is not a nonnegative multiple of the step {dt}")
     return n
 
 
@@ -53,6 +53,8 @@ class Lorenz96Config:
             raise ValueError("need at least 4 components for the cyclic stencil")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not self.lead_time > 0:
+            raise ValueError("lead_time must be positive")
         _step_count(self.lead_time, self.dt)
 
 
@@ -73,6 +75,8 @@ class KdVConfig:
             raise ValueError("grid_points must be a power of two")
         if not self.internal_dt > 0:
             raise ValueError("internal_dt must be positive")
+        if not self.lead_time > 0:
+            raise ValueError("lead_time must be positive")
         _step_count(self.lead_time, self.internal_dt)
 
     @property

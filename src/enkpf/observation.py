@@ -216,6 +216,4 @@ def scaled_gain(P: np.ndarray, obs: LinearGaussianObservation, gamma: float) -> 
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return np.zeros((P.shape[0], obs.r))
-    if gamma == 1.0:
-        return kalman_gain(P, obs)
     return kalman_gain(gamma * P, obs)

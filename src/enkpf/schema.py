@@ -1,6 +1,6 @@
 """The config type rule. Every config dataclass calls check_fields(self)
 first in its __post_init__, so a Python constructor and the JSON reader
-(experiment._from_json) refuse the same values, naming the field:
+(config._from_json) refuse the same values, naming the field:
 `q must be an integer, got 40.5`.
 """
 

@@ -541,8 +541,8 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
          'model.q must be an integer, got "x"'),
         ("run", {**_RUN_BASE, "taper": {"kind": "gaspari_cohn", "support": "x"}},
          'taper.support must be a number, got "x"'),
-        ("run", {**_RUN_BASE, "observation": {"noise_variance": 0.5, "schedule": {"interval": "x"}}},
-         'observation.schedule.interval must be a number, got "x"'),
+        ("run", {**_RUN_BASE, "observation": {"noise_variance": 0.5, "schedule": {"interval": 0.05}}},
+         "unknown keys in config.observation: ['schedule']"),
         ("run", {**_RUN_BASE, "ensemble_size": "x"}, 'config.ensemble_size must be an integer'),
         ("sweep", {**_SWEEP_BASE, "ensemble_size": "x"},
          'sweep.ensemble_size must be an integer, got "x"'),
@@ -564,6 +564,12 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         ("run", {**_RUN_BASE, "filter": {"kind": "enkpf", "policy": {"mode": "adaptive_spread"}}},
          "config.filter.policy.mode must be one of ['fixed', 'adaptive_ess', 'adaptive_div'], "
          'got "adaptive_spread"'),
+        ("run", {**_RUN_BASE, "filter": {"kind": "enkpf", "policy": {"max_probes": 4}}},
+         "unknown keys in config.filter.policy: ['max_probes']"),
+        ("run", {**_RUN_BASE, "model": {"kind": "lorenz96", "q": 8, "lead_time": -0.4}},
+         "lead_time must be positive"),
+        ("run", {**_RUN_BASE, "model": {"kind": "kdv", "grid_points": 32, "lead_time": 0}},
+         "lead_time must be positive"),
     ],
     ids=[
         "filter_string",
@@ -576,7 +582,7 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         "sweep_observations_unknown",
         "model_q_string",
         "taper_support_string",
-        "schedule_interval_string",
+        "observation_schedule_removed",
         "ensemble_size_string",
         "sweep_ensemble_size_string",
         "sweep_output_number",
@@ -588,6 +594,9 @@ _SWEEP_BASE = {"priors": ["gaussian"], "observations": ["y1"], "dims": [10], "ga
         "noise_variance_infinite",
         "forcing_nan",
         "policy_mode_removed",
+        "policy_max_probes_removed",
+        "lead_time_negative",
+        "kdv_lead_time_zero",
     ],
 )
 def test_console_script_names_bad_config_key(tmp_path, capsys, command, payload, expected):

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkpf import experiment, read_matrix_csv, write_matrix_csv
+from enkpf import matrix_csv, read_matrix_csv, write_matrix_csv
 from enkpf.compiled import load
 
-_COMPILED = experiment._csv_formatter()
+_COMPILED = matrix_csv._csv_formatter()
 needs_compiled = pytest.mark.skipif(_COMPILED is None, reason="_csv.c could not be built here")
 
 
@@ -85,7 +85,7 @@ def test_every_target_gets_the_same_bytes(shape, tmp_path, capsysbinary):
 def test_python_fallback_gives_the_same_bytes(monkeypatch):
     matrix = _edge_values()[None, :]
     compiled = _written(matrix)
-    monkeypatch.setattr(experiment, "_csv_formatter", lambda: None)
+    monkeypatch.setattr(matrix_csv, "_csv_formatter", lambda: None)
     assert _written(matrix) == compiled == _expected(matrix)
 
 
@@ -96,18 +96,18 @@ def test_compiled_formatter_is_the_path_taken_when_a_compiler_exists(monkeypatch
     def python_rows(*args):
         raise AssertionError("the Python rows ran although _csv.c is built")
 
-    monkeypatch.setattr(experiment, "_write_rows", python_rows)
+    monkeypatch.setattr(matrix_csv, "_write_rows", python_rows)
     assert _written(np.eye(2)) == b"2,2\n1,0\n0,1\n"
 
 
 # read_matrix_csv: the parser of _csv.c against the np.loadtxt path
 
-_PARSER = experiment._csv_parser()
+_PARSER = matrix_csv._csv_parser()
 needs_parser = pytest.mark.skipif(_PARSER is None, reason="_csv.c could not be built here")
 
 
 def _compiled_read(text: bytes) -> np.ndarray:
-    header = experiment._STRICT_HEADER.match(text)
+    header = matrix_csv._STRICT_HEADER.match(text)
     data = _PARSER(text, header.end(), int(header[1]), int(header[2]))
     assert data is not None, "the compiled parser refused the body"
     return data
@@ -125,7 +125,7 @@ def _raw_parse(body: bytes, q: int, n: int) -> tuple[int, np.ndarray]:
 def _loadtxt_read(text: bytes, tmp_path) -> np.ndarray:
     path = tmp_path / "reference.csv"
     path.write_bytes(text)
-    return experiment._read_rows(path)
+    return matrix_csv._read_rows(path)
 
 
 def _assert_bitwise_equal(got, expected):
@@ -252,7 +252,7 @@ _FALLBACK_ONLY = {
 def test_inputs_only_loadtxt_accepts_read_as_before(text, tmp_path):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
-    _assert_bitwise_equal(read_matrix_csv(path), experiment._read_rows(path))
+    _assert_bitwise_equal(read_matrix_csv(path), matrix_csv._read_rows(path))
 
 
 _BAD_BODIES = {
@@ -276,7 +276,7 @@ def test_every_error_reads_as_without_the_parser(text, expected, tmp_path, monke
     path.write_bytes(text.encode())
     with pytest.raises(ValueError) as compiled:
         read_matrix_csv(path)
-    monkeypatch.setattr(experiment, "_csv_parser", lambda: None)
+    monkeypatch.setattr(matrix_csv, "_csv_parser", lambda: None)
     with pytest.raises(ValueError) as fallback:
         read_matrix_csv(path)
     assert str(compiled.value) == str(fallback.value)
@@ -288,7 +288,7 @@ def test_compiled_parser_is_the_path_taken_when_it_builds(tmp_path, monkeypatch)
     def loadtxt_rows(*args):
         raise AssertionError("np.loadtxt ran although _csv.c is built")
 
-    monkeypatch.setattr(experiment, "_read_rows", loadtxt_rows)
+    monkeypatch.setattr(matrix_csv, "_read_rows", loadtxt_rows)
     write_matrix_csv(tmp_path / "m.csv", np.eye(3) * 0.1)
     assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), np.eye(3) * 0.1)
 
@@ -356,16 +356,16 @@ def test_generated_bodies_read_as_loadtxt_reads_them(fuzz_path, generated):
     text, in_grammar = generated
     fuzz_path.write_bytes(text)
     if in_grammar:
-        _assert_bitwise_equal(_compiled_read(text), experiment._read_rows(fuzz_path))
+        _assert_bitwise_equal(_compiled_read(text), matrix_csv._read_rows(fuzz_path))
     try:
         got = read_matrix_csv(fuzz_path)
     except ValueError as err:
-        with mock.patch.object(experiment, "_csv_parser", lambda: None):
+        with mock.patch.object(matrix_csv, "_csv_parser", lambda: None):
             with pytest.raises(ValueError) as fallback:
                 read_matrix_csv(fuzz_path)
         assert str(err) == str(fallback.value)
     else:
-        _assert_bitwise_equal(got, experiment._read_rows(fuzz_path))
+        _assert_bitwise_equal(got, matrix_csv._read_rows(fuzz_path))
 
 
 # The codec built with AddressSanitizer and UndefinedBehaviorSanitizer

@@ -33,7 +33,8 @@ from enkpf import (
     summarize,
     write_matrix_csv,
 )
-from enkpf.experiment import _MODELS, _fmt
+from enkpf.config import _MODELS
+from enkpf.experiment import _fmt
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -352,19 +353,19 @@ def test_config_parsing_rejects_unknown_keys(tmp_path):
 def test_config_scalars_checked_by_json_type():
     good = {
         "model": {"kind": "lorenz96", "q": 8, "lead_time": 1},
-        "observation": {"noise_variance": 1, "schedule": {"interval": None}},
+        "observation": {"noise_variance": 1, "components": None},
         "taper": {"kind": "triangular", "support": 3},
         "record_timing": True,
     }
     cfg = experiment_config_from_dict(good)  # integers pass as numbers, null where optional
-    assert cfg.model.lead_time == 1 and cfg.observation.interval is None
+    assert cfg.model.lead_time == 1 and cfg.observation.components is None
     for bad, message in (
         ({**good, "cycles": 2.0}, "config.cycles must be an integer, got 2.0"),
         ({**good, "seed": True}, "config.seed must be an integer, got true"),
         ({**good, "record_timing": 1}, "config.record_timing must be true or false, got 1"),
         ({**good, "output_dir": 5}, "config.output_dir must be a string, got 5"),
         ({**good, "model": {"kind": "kdv", "dealias": "no"}}, "model.dealias must be true or"),
-        ({**good, "filter": {"policy": {"max_probes": None}}}, "filter.policy.max_probes must"),
+        ({**good, "filter": {"policy": {"band": None}}}, "filter.policy.band must"),
     ):
         with pytest.raises(ValueError, match=message):
             experiment_config_from_dict(bad)
@@ -463,7 +464,6 @@ def test_config_reader_handles_every_field_type():
         (ExperimentConfig, {"seed": "3"}, 'seed must be an integer, got "3"'),
         (ExperimentConfig, {"ensemble_size": 10.5}, "ensemble_size must be an integer, got 10.5"),
         (KdVConfig, {"dealias": "no"}, 'dealias must be true or false, got "no"'),
-        (GammaPolicy, {"max_probes": 2.5}, "max_probes must be an integer, got 2.5"),
         (Lorenz96Config, {"forcing": float("nan")}, "forcing must be a number, got NaN"),
         (ObservationScheme, {"noise_variance": float("inf")},
          "noise_variance must be a number, got Infinity"),
@@ -482,7 +482,6 @@ def test_config_reader_handles_every_field_type():
         "seed_string",
         "ensemble_size_fractional",
         "dealias_string",
-        "max_probes_fractional",
         "forcing_nan",
         "noise_variance_infinite",
         "sweep_dims_string",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,8 +56,6 @@ def test_policy_validation():
         GammaPolicy(band=(0.1, 0.2, 0.3))
     with pytest.raises(ValueError):
         GammaPolicy(grid=(0.0, 0.5))  # must end at 1
-    with pytest.raises(ValueError):
-        GammaPolicy(max_probes=0)
     assert GammaPolicy.fixed(0.05).gamma == 0.05
 
 
@@ -76,7 +76,7 @@ def test_selection_respects_probe_budget_and_band():
         obs = scalar_obs(float(gen.normal(0, 2)), float(gen.uniform(0.05, 1.0)), q)
         policy = GammaPolicy(mode="adaptive_ess", band=(0.4, 0.7))
         gamma, probes = select_gamma(ens, obs, policy, untapered_cov(ens))
-        assert len(probes) <= policy.max_probes
+        assert len(probes) <= math.ceil(math.log2(len(policy.grid)))
         assert all(g in policy.grid for g, _ in probes)
         qualifying = [g for g, frac in probes if frac >= 0.4]
         if qualifying:
@@ -149,7 +149,7 @@ def _reference_search(ens, obs, policy, cov):
     grid, tau0 = policy.grid, policy.band[0]
     lo, hi = 0, len(grid) - 1
     probes, chosen = [], grid[-1]
-    while lo < hi and len(probes) < policy.max_probes:
+    while lo < hi:
         mid = (lo + hi) // 2
         mix = enkpf.mixture._mixture_from_cov(ens.states, cov, obs, grid[mid])
         frac = measure(mix.weights) / ens.n_members

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from enkpf import load_experiment_config, run_experiment
-from enkpf.experiment import _fmt, read_matrix_csv
+from enkpf.experiment import _fmt
+from enkpf.matrix_csv import read_matrix_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
